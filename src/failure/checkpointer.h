@@ -47,7 +47,7 @@ class Checkpointer {
   // payloads grew the self-healing guard state (watchdog, snapshot ring,
   // quarantine, tracker) and, for the real engine, an attached-policy
   // section. v5: TransportTracker serializes its cumulative wire_mb
-  // (bytes-moved accounting for the perf harness, DESIGN.md §12). v6: the
+  // (bytes-moved accounting). v6: the
   // topology config joined the sync/real fingerprints (and
   // min_snapshot_coverage the guard section); sync/real payloads grew the
   // aggregation-tree state (edge injector, up/foster masks, topology

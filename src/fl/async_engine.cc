@@ -276,8 +276,8 @@ void AsyncEngine::LaunchClients() {
 
   // Collect idle, currently-available clients (minus failure cooldowns,
   // keyed by the aggregation version — async FL's round analogue).
-  std::vector<size_t>& candidates = scratch_.candidates;
-  candidates.clear();
+  std::vector<size_t> candidates;
+  candidates.reserve(clients_.size());
   for (const auto& client : clients_) {
     if (!busy_[client.id()] && client.cooldown_until_round <= version_) {
       candidates.push_back(client.id());
@@ -288,14 +288,11 @@ void AsyncEngine::LaunchClients() {
   // the RNG and policy draw order fixed across thread counts. Fault draws
   // are keyed by the client's launch count, async FL's per-client round.
   const std::vector<size_t> order = rng_.Permutation(candidates.size());
-  std::vector<InFlight>& launches = scratch_.launches;
-  std::vector<FaultDecision>& faults = scratch_.faults;
+  std::vector<InFlight> launches;
+  std::vector<FaultDecision> faults;
   // Per-launch transport key: the client's launch count before this launch
   // (same key as the fault decision above).
-  std::vector<size_t>& transfer_rounds = scratch_.transfer_rounds;
-  launches.clear();
-  faults.clear();
-  transfer_rounds.clear();
+  std::vector<size_t> transfer_rounds;
   for (size_t idx : order) {
     if (in_flight_.size() + launches.size() >= config_.async_concurrency) {
       break;
@@ -335,9 +332,6 @@ void AsyncEngine::LaunchClients() {
   // Phase 3 (sequential, launch order): commit to the in-flight set.
   for (auto& flight : launches) {
     in_flight_.push_back(flight);
-  }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
   }
 }
 

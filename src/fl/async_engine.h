@@ -141,24 +141,6 @@ class AsyncEngine {
   size_t version_ = 0;
   double now_s_ = 0.0;
   double last_accuracy_delta_ = 0.0;
-  // Pooled per-step scratch for LaunchClients (DESIGN.md §12): cleared on
-  // entry, reused across steps when config_.pool_round_scratch. Contents
-  // never outlive one launch batch, so pooling is bit-invisible; released
-  // each step when the toggle is off so the perf harness can measure both.
-  struct LaunchScratch {
-    std::vector<size_t> candidates;
-    std::vector<InFlight> launches;
-    std::vector<FaultDecision> faults;
-    std::vector<size_t> transfer_rounds;
-
-    void Release() {
-      candidates = decltype(candidates)();
-      launches = decltype(launches)();
-      faults = decltype(faults)();
-      transfer_rounds = decltype(transfer_rounds)();
-    }
-  };
-  LaunchScratch scratch_;
 };
 
 }  // namespace floatfl

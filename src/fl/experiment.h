@@ -48,12 +48,6 @@ struct ExperimentConfig {
   // 1 = fully sequential (today's exact path). Results are bit-for-bit
   // identical for every value — see DESIGN.md "Determinism & parallelism".
   size_t num_threads = 0;
-  // Reuse the engine's per-round scratch vectors across rounds instead of
-  // re-allocating them each round (DESIGN.md §12). Scratch contents never
-  // outlive one round, so results are bit-for-bit identical either way;
-  // the toggle exists so bench/perf_harness can measure the before/after.
-  // Excluded from checkpoint fingerprints, like num_threads.
-  bool pool_round_scratch = true;
   // Fault injection and failure handling (DESIGN.md §8). The default
   // (all-zero) FaultConfig is a strict no-op: no fault draws happen and the
   // engines behave bit-for-bit as if the subsystem did not exist.
@@ -167,8 +161,7 @@ struct ExperimentResult {
   size_t updates_trimmed = 0;
   // Lossy-transport totals (src/metrics/transport_tracker.h). All zero when
   // the transport is disabled. wire_mb is total bytes put on the wire
-  // (payload + retransmissions) — the bytes-moved figure the perf harness
-  // reports (DESIGN.md §12).
+  // (payload + retransmissions) — the run's bytes-moved total.
   size_t transfer_attempts = 0;
   double wire_mb = 0.0;
   double retransmitted_mb = 0.0;

@@ -38,20 +38,6 @@ ClientObservation ObserveClient(Client& client, double now_s, const PopulationRe
   return obs;
 }
 
-ClientObservation ObserveClientNormalized(Client& client, double now_s,
-                                          const PopulationReference& ref) {
-  const ResourceAvailability avail = client.interference().At(now_s);
-  ClientObservation obs;
-  obs.cpu_avail =
-      std::clamp(avail.cpu * client.compute().GflopsAt(now_s) / ref.gflops, 0.0, 1.0);
-  obs.net_avail =
-      std::clamp(avail.network * client.network().BandwidthMbpsAt(now_s) / ref.mbps, 0.0, 1.0);
-  obs.mem_avail =
-      std::clamp(avail.memory * client.compute().MemoryGb() / ref.memory_gb, 0.0, 1.0);
-  obs.deadline_diff = client.last_deadline_diff;
-  return obs;
-}
-
 void CountDropout(DropoutReason reason, DropoutBreakdown& breakdown) {
   switch (reason) {
     case DropoutReason::kUnavailable:

@@ -7,9 +7,6 @@
 // at 40 % — which is exactly the gap the deadline-difference human feedback
 // closes (RQ4): chronic stragglers reveal themselves through their typical
 // deadline overshoot. The Figure-11 ablation hinges on this split.
-// ObserveClientNormalized is provided as an alternative encoding that folds
-// the device's capability relative to the population median into the
-// fractions (used by ablation studies).
 #ifndef SRC_FL_OBSERVATION_H_
 #define SRC_FL_OBSERVATION_H_
 
@@ -34,11 +31,6 @@ PopulationReference ComputePopulationReference(const std::vector<Client>& client
 // fractions plus its typical deadline difference (the human-feedback
 // signal).
 ClientObservation ObserveClient(Client& client, double now_s, const PopulationReference& ref);
-
-// Alternative encoding: interference-adjusted capacity normalized by the
-// population median capability, clamped to [0, 1].
-ClientObservation ObserveClientNormalized(Client& client, double now_s,
-                                          const PopulationReference& ref);
 
 // Tallies one dropout reason into the breakdown (kNone is a no-op). The one
 // place the reason -> counter mapping lives; every engine routes through it.

@@ -230,9 +230,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // Hierarchical topology (DESIGN.md §13): draw this round's edge fault
   // decisions and refresh the failover assignment before tasking anyone.
   const bool tree_on = tree_.enabled();
+  std::vector<EdgeFaultDecision> edge_decisions;
   if (tree_on) {
     edge_injector_.BeginRound(round);
-    std::vector<EdgeFaultDecision>& edge_decisions = scratch_.edge_decisions;
     edge_decisions.assign(tree_.num_edges(), EdgeFaultDecision());
     for (size_t edge = 0; edge < edge_decisions.size(); ++edge) {
       edge_decisions[edge] = edge_injector_.Decide(round, edge);
@@ -253,12 +253,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // engine has no wall clock; the round index stands in for time, so
   // blackout windows are in round units. The guard gets a veto over every
   // chosen technique (safe mode / quarantine masks it to kNone).
-  std::vector<TechniqueKind>& techniques = scratch_.techniques;
-  std::vector<size_t>& frozen_layers = scratch_.frozen_layers;
-  std::vector<FaultDecision>& faults = scratch_.faults;
-  techniques.assign(k, TechniqueKind::kNone);
-  frozen_layers.assign(k, 0);
-  faults.assign(k, FaultDecision());
+  std::vector<TechniqueKind> techniques(k, TechniqueKind::kNone);
+  std::vector<size_t> frozen_layers(k, 0);
+  std::vector<FaultDecision> faults(k);
   for (size_t i = 0; i < k; ++i) {
     techniques[i] = guard_.Filter(choose_technique(order[i]), round);
     frozen_layers[i] = FrozenLayersFor(techniques[i]);
@@ -270,11 +267,10 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // crash-faulted client was interrupted, from the injector's own salted
   // (round, client) streams, quantized to whole mini-batch steps. Sequential
   // and salvage-gated: with salvage off no draw happens and nothing changes.
+  // Both stay zero for healthy clients.
   const bool salvage_on = config_.salvage.enabled;
-  std::vector<double>& salvage_fractions = scratch_.salvage_fractions;
-  std::vector<size_t>& salvage_steps = scratch_.salvage_steps;
-  salvage_fractions.assign(k, 0.0);
-  salvage_steps.assign(k, 0);
+  std::vector<double> salvage_fractions(k, 0.0);
+  std::vector<size_t> salvage_steps(k, 0);
   if (salvage_on) {
     for (size_t i = 0; i < k; ++i) {
       if (!faults[i].crash || faults[i].blackout) {
@@ -298,12 +294,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // weights do not depend on which thread — or in which order — clients run.
   // A crashed (or blacked-out) client never delivers; a corrupted one
   // delivers a poisoned tensor.
-  std::vector<ProcessedUpdate>& processed = scratch_.processed;
-  std::vector<uint8_t>& delivered = scratch_.delivered;
-  std::vector<TransferResult>& transfers = scratch_.transfers;
-  processed.assign(k, ProcessedUpdate());
-  delivered.assign(k, 1);
-  transfers.assign(k, TransferResult());
+  std::vector<ProcessedUpdate> processed(k);
+  std::vector<uint8_t> delivered(k, 1);
+  std::vector<TransferResult> transfers(k);
   ParallelFor(pool_.get(), k, [&](size_t i) {
     if (tree_on && tree_.EffectiveEdge(order[i]) == AggregationTree::kOrphaned) {
       // No live edge to report to: the client is never tasked and trains
@@ -359,17 +352,13 @@ RealRoundStats RealFlEngine::RunRoundImpl(
 
   // Phase 3 (sequential, selection order): server-side validation, then a
   // fixed-order reduction through the configured aggregator.
-  std::vector<std::vector<float>>& updates = scratch_.updates;
-  std::vector<double>& weights = scratch_.weights;
-  updates.clear();
-  weights.clear();
+  std::vector<std::vector<float>> updates;
+  std::vector<double> weights;
   RealRoundStats stats;
   double total_bytes = 0.0;
   double total_error = 0.0;
-  std::vector<uint8_t>& participated = scratch_.participated;
-  std::vector<DropoutReason>& reasons = scratch_.reasons;
-  participated.assign(k, 0);
-  reasons.assign(k, DropoutReason::kNone);
+  std::vector<uint8_t> participated(k, 0);
+  std::vector<DropoutReason> reasons(k, DropoutReason::kNone);
   std::vector<size_t> update_edges;  // effective edge per accepted update
   const bool ingest_on = overload_.enabled() || admission_.enabled();
   std::vector<size_t> passing;  // selection indices that reached the server door
@@ -750,7 +739,7 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       topo_tracker_.RecordEdgeAggExclusions(edge_stats.updates_clipped +
                                             edge_stats.krum_rejections +
                                             edge_stats.updates_trimmed);
-      if (edge_injector_.enabled() && scratch_.edge_decisions[edge].byzantine) {
+      if (edge_injector_.enabled() && edge_decisions[edge].byzantine) {
         FaultConfig tamper;
         tamper.byzantine_mode = config_.topology.edge_byzantine_mode;
         tamper.byzantine_scale = config_.topology.edge_byzantine_scale;
@@ -844,9 +833,6 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       stats.test_accuracy = EvaluateAccuracy();
       stats.test_loss = EvaluateLoss();
     }
-  }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
   }
   return stats;
 }

@@ -64,9 +64,6 @@ struct RealFlConfig {
   // each client trains on its own (round, client_id)-keyed RNG stream and
   // updates aggregate in selection order.
   size_t num_threads = 0;
-  // Reuse per-round scratch vectors across rounds (see
-  // ExperimentConfig::pool_round_scratch). Bit-invisible; bench-measurable.
-  bool pool_round_scratch = true;
   // Fault injection (DESIGN.md §8). Crashes drop the client's update on the
   // floor; corruption poisons the uploaded tensor (NaN / Inf / exploding
   // norm), which the server-side validation quarantines. The real engine has
@@ -227,46 +224,6 @@ class RealFlEngine {
       const std::function<TechniqueKind(size_t)>& choose_technique,
       const std::function<void(size_t, TechniqueKind, bool, double)>& report);
 
-  // Pooled per-round scratch (DESIGN.md §12): reset at the top of every
-  // RunRoundImpl, reused across rounds when config_.pool_round_scratch.
-  // Contents never outlive one round, so pooling is bit-invisible; released
-  // each round when the toggle is off so the perf harness can measure both.
-  struct RoundScratch {
-    std::vector<TechniqueKind> techniques;
-    std::vector<size_t> frozen_layers;
-    std::vector<FaultDecision> faults;
-    std::vector<ProcessedUpdate> processed;
-    std::vector<uint8_t> delivered;
-    std::vector<TransferResult> transfers;
-    std::vector<std::vector<float>> updates;
-    std::vector<double> weights;
-    std::vector<uint8_t> participated;
-    std::vector<DropoutReason> reasons;
-    std::vector<EdgeFaultDecision> edge_decisions;
-    // Per-slot interruption progress (DESIGN.md §16): the step-quantized
-    // fraction of local training a crash-faulted client finished before its
-    // drawn interruption point, and the matching whole-step count. Zero for
-    // healthy clients and with salvage off.
-    std::vector<double> salvage_fractions;
-    std::vector<size_t> salvage_steps;
-
-    void Release() {
-      techniques = decltype(techniques)();
-      frozen_layers = decltype(frozen_layers)();
-      faults = decltype(faults)();
-      processed = decltype(processed)();
-      delivered = decltype(delivered)();
-      transfers = decltype(transfers)();
-      updates = decltype(updates)();
-      weights = decltype(weights)();
-      participated = decltype(participated)();
-      reasons = decltype(reasons)();
-      edge_decisions = decltype(edge_decisions)();
-      salvage_fractions = decltype(salvage_fractions)();
-      salvage_steps = decltype(salvage_steps)();
-    }
-  };
-
   RealFlConfig config_;
   TuningPolicy* policy_ = nullptr;
   FaultInjector injector_;
@@ -311,7 +268,6 @@ class RealFlEngine {
   Tensor test_inputs_;
   std::vector<int> test_labels_;
   std::vector<size_t> model_dims_;
-  RoundScratch scratch_;
 };
 
 }  // namespace floatfl

@@ -64,17 +64,6 @@ SyncEngine::SyncEngine(const ExperimentConfig& config, Selector* selector, Tunin
       shards);
 }
 
-ClientRoundOutcome SyncEngine::SimulateClient(Client& client, double now_s,
-                                              TechniqueKind technique) const {
-  return SimulateClient(client, rounds_run_, now_s, technique, FaultDecision());
-}
-
-ClientRoundOutcome SyncEngine::SimulateClient(Client& client, double now_s,
-                                              TechniqueKind technique,
-                                              const FaultDecision& fault) const {
-  return SimulateClient(client, rounds_run_, now_s, technique, fault);
-}
-
 ClientRoundOutcome SyncEngine::SimulateClient(Client& client, size_t round, double now_s,
                                               TechniqueKind technique,
                                               const FaultDecision& fault) const {
@@ -340,9 +329,9 @@ void SyncEngine::RunRound(size_t round) {
   // decisions and fold them (plus crash cooldowns) into the up/down mask and
   // failover assignment before any client is tasked.
   const bool tree_on = tree_.enabled();
+  std::vector<EdgeFaultDecision> edge_decisions;
   if (tree_on) {
     edge_injector_.BeginRound(round);
-    std::vector<EdgeFaultDecision>& edge_decisions = scratch_.edge_decisions;
     edge_decisions.assign(tree_.num_edges(), EdgeFaultDecision());
     for (size_t edge = 0; edge < edge_decisions.size(); ++edge) {
       edge_decisions[edge] = edge_injector_.Decide(round, edge);
@@ -379,8 +368,8 @@ void SyncEngine::RunRound(size_t round) {
   // validation below. `needed` stays pinned to the primary cohort so
   // speculation can never relax the round-close bar.
   const size_t num_primaries = selected.size();
-  std::vector<size_t>& backup_of = scratch_.backup_of;
-  backup_of.assign(num_primaries, kPrimarySlot);
+  // Slot i's primary slot when slot i is a backup; kPrimarySlot otherwise.
+  std::vector<size_t> backup_of(num_primaries, kPrimarySlot);
   if (config_.salvage.speculation) {
     const std::vector<BackupPlan> plans = scheduler_.Plan(round, selected, clients_);
     salvage_tracker_.RecordBackupsPlanned(plans.size());
@@ -400,12 +389,9 @@ void SyncEngine::RunRound(size_t round) {
   // decisions are drawn here too — each from its own (round, client)-keyed
   // stream, so their order is irrelevant, but batching them keeps phase 2
   // free of injector calls.
-  std::vector<ClientObservation>& observations = scratch_.observations;
-  std::vector<TechniqueKind>& techniques = scratch_.techniques;
-  std::vector<FaultDecision>& faults = scratch_.faults;
-  observations.clear();
-  techniques.clear();
-  faults.assign(selected.size(), FaultDecision());
+  std::vector<ClientObservation> observations;
+  std::vector<TechniqueKind> techniques;
+  std::vector<FaultDecision> faults(selected.size());
   observations.reserve(selected.size());
   techniques.reserve(selected.size());
   for (size_t i = 0; i < selected.size(); ++i) {
@@ -428,8 +414,7 @@ void SyncEngine::RunRound(size_t round) {
   // Phase 2 (parallel): simulate the selected clients. Each task touches
   // only its own client's trace state (selectors sample without
   // replacement), and outcomes land in an index-ordered buffer.
-  std::vector<ClientRoundOutcome>& outcomes = scratch_.outcomes;
-  outcomes.assign(selected.size(), ClientRoundOutcome());
+  std::vector<ClientRoundOutcome> outcomes(selected.size());
   ParallelFor(pool_.get(), selected.size(), [&](size_t i) {
     if (tree_on && tree_.EffectiveEdge(selected[i]) == AggregationTree::kOrphaned) {
       // Every edge in the client's failover chain is down: the task push has
@@ -497,8 +482,7 @@ void SyncEngine::RunRound(size_t round) {
   // abandoned and their spend charged as waste.
   const size_t needed = std::min(base_k, num_primaries);
   {
-    std::vector<size_t>& completed_idx = scratch_.completed_idx;
-    completed_idx.clear();
+    std::vector<size_t> completed_idx;
     for (size_t i = 0; i < outcomes.size(); ++i) {
       if (outcomes[i].completed) {
         completed_idx.push_back(i);
@@ -776,8 +760,7 @@ void SyncEngine::RunRound(size_t round) {
   // quality; the configured aggregation rule then gets its say before the
   // surrogate folds the contributions in.
   const double accuracy_before = surrogate_->GlobalAccuracy();
-  std::vector<ClientContribution>& contributions = scratch_.contributions;
-  contributions.clear();
+  std::vector<ClientContribution> contributions;
   double round_duration = 0.0;
   size_t accepted = 0;
   size_t byzantine_selected = 0;
@@ -875,7 +858,7 @@ void SyncEngine::RunRound(size_t round) {
       topo_tracker_.RecordEdgeAggExclusions(edge_stats.updates_clipped +
                                             edge_stats.krum_rejections +
                                             edge_stats.updates_trimmed);
-      if (edge_injector_.enabled() && scratch_.edge_decisions[edge].byzantine) {
+      if (edge_injector_.enabled() && edge_decisions[edge].byzantine) {
         for (auto& c : groups[edge]) {
           c.quality = edge_injector_.TamperedQuality(c.quality, round, edge);
         }
@@ -1026,9 +1009,6 @@ void SyncEngine::RunRound(size_t round) {
   now_s_ += round_duration + kRoundOverheadS;
   accuracy_history_.push_back(surrogate_->GlobalAccuracy());
   ++rounds_run_;
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
-  }
 }
 
 ExperimentResult SyncEngine::Snapshot() const {

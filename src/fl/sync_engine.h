@@ -108,15 +108,10 @@ class SyncEngine {
   const ExperimentConfig& config() const { return config_; }
 
   // Simulates one client's round at time `now_s` without recording it
-  // (used by tests and by the async engine's shared logic).
-  ClientRoundOutcome SimulateClient(Client& client, double now_s, TechniqueKind technique) const;
-  // Fault-aware variant: `fault` layers injected failures over the natural
-  // dropout checks. A default FaultDecision reproduces the plain overload.
-  ClientRoundOutcome SimulateClient(Client& client, double now_s, TechniqueKind technique,
-                                    const FaultDecision& fault) const;
-  // Round-aware variant: `round` keys the lossy transport's per-transfer
-  // random streams (irrelevant — and bit-identical — when the transport is
-  // disabled). The overloads above forward with round = RoundsRun().
+  // (used by tests and benches). `fault` layers injected failures over the
+  // natural dropout checks; a default FaultDecision injects none. `round`
+  // keys the lossy transport's per-transfer random streams (irrelevant when
+  // the transport is disabled).
   ClientRoundOutcome SimulateClient(Client& client, size_t round, double now_s,
                                     TechniqueKind technique, const FaultDecision& fault) const;
 
@@ -200,36 +195,6 @@ class SyncEngine {
   // Deadline in force this round; equals config_.deadline_s until the
   // adaptive controller (if enabled) proposes otherwise.
   double round_deadline_s_ = 0.0;
-  // Pooled per-round scratch buffers (DESIGN.md §12): cleared at the top of
-  // every RunRound and reused across rounds when config_.pool_round_scratch
-  // (the default), so steady-state rounds allocate only when a round's
-  // cohort outgrows every earlier one. Contents never outlive one round, so
-  // pooling cannot change results; released each round when the toggle is
-  // off so bench/perf_harness can measure the before/after.
-  struct RoundScratch {
-    std::vector<ClientObservation> observations;
-    std::vector<TechniqueKind> techniques;
-    std::vector<FaultDecision> faults;
-    std::vector<ClientRoundOutcome> outcomes;
-    std::vector<size_t> completed_idx;
-    std::vector<ClientContribution> contributions;
-    std::vector<EdgeFaultDecision> edge_decisions;
-    // Slot i's primary slot when slot i is a speculative backup; kPrimary
-    // for ordinary cohort slots (DESIGN.md §16).
-    std::vector<size_t> backup_of;
-
-    void Release() {
-      observations = decltype(observations)();
-      techniques = decltype(techniques)();
-      faults = decltype(faults)();
-      outcomes = decltype(outcomes)();
-      completed_idx = decltype(completed_idx)();
-      contributions = decltype(contributions)();
-      edge_decisions = decltype(edge_decisions)();
-      backup_of = decltype(backup_of)();
-    }
-  };
-  RoundScratch scratch_;
 };
 
 }  // namespace floatfl

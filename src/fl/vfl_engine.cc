@@ -154,16 +154,13 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
   double loss_sum = 0.0;
   size_t batches = 0;
   // Per-party participation verdicts for the guard's failure attribution.
-  std::vector<DropoutReason>& reasons = scratch_.reasons;
-  reasons.assign(bottoms_.size(), DropoutReason::kNone);
+  std::vector<DropoutReason> reasons(bottoms_.size(), DropoutReason::kNone);
 
   // Per-(epoch, party) fault draws, epoch standing in for both the round and
   // the wall clock (as in the real engine). A faulted party is out for the
   // whole epoch: silent (crash/blackout) or quarantined (corruption).
-  std::vector<FaultDecision>& faults = scratch_.faults;
-  std::vector<uint8_t>& party_out = scratch_.party_out;
-  faults.clear();
-  party_out.clear();
+  std::vector<FaultDecision> faults;
+  std::vector<uint8_t> party_out;
   size_t active_parties = bottoms_.size();
   if (injector_.enabled()) {
     injector_.BeginRound(epoch);
@@ -228,9 +225,9 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
     const Tensor concat = ForwardParties(train_features_, start, count, comm_technique,
                                          &stats.traffic_bytes, fault_view);
     const Tensor logits = top_->Forward(concat);
-    std::vector<int>& batch_labels = scratch_.batch_labels;
-    batch_labels.assign(train_labels_.begin() + static_cast<ptrdiff_t>(start),
-                        train_labels_.begin() + static_cast<ptrdiff_t>(start + count));
+    const std::vector<int> batch_labels(
+        train_labels_.begin() + static_cast<ptrdiff_t>(start),
+        train_labels_.begin() + static_cast<ptrdiff_t>(start + count));
     Tensor probs;
     loss_sum += SoftmaxXent::Loss(logits, batch_labels, &probs);
     ++batches;
@@ -253,12 +250,7 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
         // encoder does not train this epoch.
         continue;
       }
-      // Reused across parties and batches; every (r, c) element is written
-      // below before use, so the reshape-on-demand reuse is bit-invisible.
-      Tensor& grad_p = scratch_.grad_p;
-      if (grad_p.rows() != count || grad_p.cols() != embed) {
-        grad_p = Tensor(count, embed);
-      }
+      Tensor grad_p(count, embed);
       for (size_t r = 0; r < count; ++r) {
         for (size_t c = 0; c < embed; ++c) {
           grad_p.At(r, c) = grad_concat.At(r, p * embed + c);
@@ -300,9 +292,6 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
       stats.rolled_back = true;
       stats.test_accuracy = EvaluateAccuracy();
     }
-  }
-  if (!config_.pool_round_scratch) {
-    scratch_.Release();
   }
   return stats;
 }

@@ -40,9 +40,6 @@ struct VflConfig {
   float learning_rate = 0.05f;
   size_t batch_size = 32;
   uint64_t seed = 1;
-  // Reuse per-epoch scratch vectors across epochs (see
-  // ExperimentConfig::pool_round_scratch). Bit-invisible; bench-measurable.
-  bool pool_round_scratch = true;
   // Fault injection (DESIGN.md §8), interpreted per (epoch, party): a
   // crashed or blacked-out party is silent for the epoch (its embedding
   // slice is zero-filled and its encoder does not train); a corrupting party
@@ -130,26 +127,6 @@ class VflEngine {
   std::vector<int> train_labels_;
   std::vector<Tensor> test_features_;
   std::vector<int> test_labels_;
-  // Pooled per-epoch scratch (DESIGN.md §12): reset at the top of every
-  // TrainEpoch, reused across epochs when config_.pool_round_scratch.
-  // Contents never outlive one epoch, so pooling is bit-invisible; released
-  // each epoch when the toggle is off so the perf harness can measure both.
-  struct EpochScratch {
-    std::vector<DropoutReason> reasons;
-    std::vector<FaultDecision> faults;
-    std::vector<uint8_t> party_out;
-    std::vector<int> batch_labels;
-    Tensor grad_p;  // per-(batch, party) gradient slice, reshaped on demand
-
-    void Release() {
-      reasons = decltype(reasons)();
-      faults = decltype(faults)();
-      party_out = decltype(party_out)();
-      batch_labels = decltype(batch_labels)();
-      grad_p = Tensor();
-    }
-  };
-  EpochScratch scratch_;
 };
 
 }  // namespace floatfl

@@ -15,7 +15,7 @@ class TransportTracker {
  public:
   // Records one finished transfer (download or upload leg). `wire_mb` is the
   // total bytes the transfer put on the wire (payload + retransmissions) —
-  // the bytes-moved denominator the perf harness reports (DESIGN.md §12).
+  // the run's bytes-moved total.
   // `salvaged_mb` is the unique acked bytes resumable retries carried
   // forward (never re-counted per attempt); `progress_mb` is the unique
   // payload bytes acknowledged overall — on a timed-out transfer, the

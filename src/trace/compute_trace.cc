@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/failure/checkpoint_util.h"
-#include "src/trace/trace_memo.h"
 
 namespace floatfl {
 namespace {
@@ -58,13 +57,6 @@ ComputeTrace::ComputeTrace(DeviceTier tier, double base_gflops, uint64_t seed)
 }
 
 double ComputeTrace::GflopsAt(double time_s) {
-  // Same-timestamp fast path (see trace_memo.h): the catch-up loop below is
-  // a no-op at an already-reached timestamp, so returning the cached value
-  // is bit-identical and draws no RNG.
-  if (time_s == memo_query_s_ && TraceQueryMemoEnabled()) {
-    return current_gflops_;
-  }
-  memo_query_s_ = time_s;
   // Fast-forward long gaps (see NetworkTrace::BandwidthMbpsAt).
   constexpr double kMaxCatchupSteps = 4096.0;
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
@@ -88,9 +80,6 @@ void ComputeTrace::SaveState(CheckpointWriter& w) const {
 }
 
 void ComputeTrace::LoadState(CheckpointReader& r) {
-  // Invalidate the memo: the restored process may sit at an earlier time
-  // than this object's last query (see NetworkTrace::LoadState).
-  memo_query_s_ = -1.0;
   LoadRng(r, rng_);
   drift_ = r.F64();
   current_time_ = r.F64();

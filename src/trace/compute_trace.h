@@ -47,9 +47,6 @@ class ComputeTrace {
   double drift_ = 0.0;           // log-space AR(1) deviation
   double current_time_ = 0.0;
   double current_gflops_;
-  // Same-timestamp memo (see trace_memo.h); not serialized, negative
-  // sentinel so a first query at t=0 takes the full path.
-  double memo_query_s_ = -1.0;
   static constexpr double kStepSeconds = 30.0;
 };
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/failure/checkpoint_util.h"
-#include "src/trace/trace_memo.h"
 
 namespace floatfl {
 namespace {
@@ -51,13 +50,6 @@ ResourceAvailability InterferenceModel::At(double time_s) {
   if (scenario_ != InterferenceScenario::kDynamic) {
     return static_level_;
   }
-  // Same-timestamp fast path (see trace_memo.h): the catch-up loop below is
-  // a no-op at an already-reached timestamp, so returning the cached value
-  // is bit-identical and draws no RNG.
-  if (time_s == memo_query_s_ && TraceQueryMemoEnabled()) {
-    return current_;
-  }
-  memo_query_s_ = time_s;
   // Fast-forward long gaps (see NetworkTrace::BandwidthMbpsAt).
   constexpr double kMaxCatchupSteps = 4096.0;
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
@@ -87,9 +79,6 @@ void InterferenceModel::SaveState(CheckpointWriter& w) const {
 }
 
 void InterferenceModel::LoadState(CheckpointReader& r) {
-  // Invalidate the memo: the restored process may sit at an earlier time
-  // than this object's last query (see NetworkTrace::LoadState).
-  memo_query_s_ = -1.0;
   LoadRng(r, rng_);
   dev_cpu_ = r.F64();
   dev_mem_ = r.F64();

@@ -53,9 +53,6 @@ class InterferenceModel {
   double dev_net_ = 0.0;
   double current_time_ = 0.0;
   ResourceAvailability current_;
-  // Same-timestamp memo (see trace_memo.h); not serialized, negative
-  // sentinel so a first query at t=0 takes the full path.
-  double memo_query_s_ = -1.0;
   static constexpr double kStepSeconds = 15.0;
 };
 

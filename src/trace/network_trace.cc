@@ -5,7 +5,6 @@
 
 #include "src/common/check.h"
 #include "src/failure/checkpoint_util.h"
-#include "src/trace/trace_memo.h"
 
 namespace floatfl {
 
@@ -82,16 +81,8 @@ NetworkTrace NetworkTrace::Constant(double mbps) {
 }
 
 double NetworkTrace::BandwidthMbpsAt(double time_s) {
-  // Same-timestamp fast path: the catch-up loop below is a no-op when the
-  // trace already advanced to time_s (repeat queries draw no RNG), so the
-  // cached value is provably the one the full path would return. Memo state
-  // is not checkpointed; a post-resume query just takes the full path once.
-  if (time_s == memo_query_s_ && TraceQueryMemoEnabled()) {
-    return current_mbps_;
-  }
   FLOATFL_CHECK_MSG(time_s >= last_query_s_,
                     "NetworkTrace queried backwards in time (monotonic contract)");
-  memo_query_s_ = time_s;
   last_query_s_ = time_s;
   // Fast-forward across very long gaps: the regime process is ergodic, so
   // after thousands of steps the exact path is irrelevant — burn a bounded
@@ -118,9 +109,6 @@ void NetworkTrace::SaveState(CheckpointWriter& w) const {
 }
 
 void NetworkTrace::LoadState(CheckpointReader& r) {
-  // Restoring may rewind the process to an earlier time than the last query
-  // on this object; a stale memo hit would then skip a needed catch-up.
-  memo_query_s_ = -1.0;
   LoadRng(r, rng_);
   regime_ = static_cast<int>(r.U32());
   log_dev_ = r.F64();

@@ -62,12 +62,6 @@ class NetworkTrace {
   double current_time_ = 0.0;
   // Most recent query time: enforces the monotonic-query contract.
   double last_query_s_ = 0.0;
-  // Timestamp of the last completed BandwidthMbpsAt call. A repeat query at
-  // this exact time short-circuits to current_mbps_ (see trace_memo.h).
-  // Deliberately NOT serialized: resume takes the full path once and
-  // checkpoint bytes stay identical to the pre-memo layout. Negative
-  // sentinel so a first query at t=0 is never mistaken for a repeat.
-  double memo_query_s_ = -1.0;
   static constexpr double kStepSeconds = 10.0;
 };
 

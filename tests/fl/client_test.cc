@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/stats.h"
 #include "src/fl/observation.h"
 
 namespace floatfl {
@@ -85,20 +86,61 @@ TEST(ObservationTest, RawObservationIsInterferenceFraction) {
   EXPECT_DOUBLE_EQ(obs.net_avail, 1.0);
 }
 
-TEST(ObservationTest, NormalizedObservationBounded) {
+TEST(ObservationTest, ReferenceIsPopulationMedian) {
   const DatasetSpec& spec = GetDatasetSpec(DatasetId::kFemnist);
   std::vector<Client> clients =
-      BuildPopulation(spec, 30, 0.1, InterferenceScenario::kDynamic, 19);
-  const PopulationReference ref = ComputePopulationReference(clients);
-  for (auto& c : clients) {
-    const ClientObservation obs = ObserveClientNormalized(c, 50.0, ref);
-    EXPECT_GE(obs.cpu_avail, 0.0);
-    EXPECT_LE(obs.cpu_avail, 1.0);
-    EXPECT_GE(obs.net_avail, 0.0);
-    EXPECT_LE(obs.net_avail, 1.0);
-    EXPECT_GE(obs.mem_avail, 0.0);
-    EXPECT_LE(obs.mem_avail, 1.0);
+      BuildPopulation(spec, 31, 0.1, InterferenceScenario::kDynamic, 19);
+  std::vector<double> gflops;
+  std::vector<double> mbps;
+  std::vector<double> mem;
+  for (const Client& c : clients) {
+    gflops.push_back(c.compute().BaseGflops());
+    mbps.push_back(c.network().NominalMbps());
+    mem.push_back(c.compute().MemoryGb());
   }
+  const PopulationReference ref = ComputePopulationReference(clients);
+  EXPECT_EQ(ref.gflops, Percentile(gflops, 50.0));
+  EXPECT_EQ(ref.mbps, Percentile(mbps, 50.0));
+  EXPECT_EQ(ref.memory_gb, Percentile(mem, 50.0));
+}
+
+// The observation is the interference model's availability at the query
+// time: a twin population built from the same seed reads the same values.
+TEST(ObservationTest, FractionsAreInterferenceAtQueryTime) {
+  const DatasetSpec& spec = GetDatasetSpec(DatasetId::kFemnist);
+  std::vector<Client> observed =
+      BuildPopulation(spec, 30, 0.1, InterferenceScenario::kDynamic, 19);
+  std::vector<Client> twin = BuildPopulation(spec, 30, 0.1, InterferenceScenario::kDynamic, 19);
+  const PopulationReference ref = ComputePopulationReference(observed);
+  for (double t : {50.0, 3600.0, 86400.0}) {
+    for (size_t i = 0; i < observed.size(); ++i) {
+      const ClientObservation obs = ObserveClient(observed[i], t, ref);
+      const ResourceAvailability avail = twin[i].interference().At(t);
+      EXPECT_EQ(obs.cpu_avail, avail.cpu) << "client " << i << " t=" << t;
+      EXPECT_EQ(obs.mem_avail, avail.memory) << "client " << i << " t=" << t;
+      EXPECT_EQ(obs.net_avail, avail.network) << "client " << i << " t=" << t;
+      EXPECT_GE(obs.cpu_avail, 0.0);
+      EXPECT_LE(obs.cpu_avail, 1.0);
+      EXPECT_GE(obs.mem_avail, 0.0);
+      EXPECT_LE(obs.mem_avail, 1.0);
+      EXPECT_GE(obs.net_avail, 0.0);
+      EXPECT_LE(obs.net_avail, 1.0);
+    }
+  }
+}
+
+// The human-feedback signal: the observation carries the client's
+// deadline-difference profile, not the last round's raw overshoot.
+TEST(ObservationTest, CarriesDeadlineDiffProfile) {
+  const DatasetSpec& spec = GetDatasetSpec(DatasetId::kFemnist);
+  std::vector<Client> clients = BuildPopulation(spec, 5, 0.1, InterferenceScenario::kNone, 23);
+  const PopulationReference ref = ComputePopulationReference(clients);
+  Client& c = clients[2];
+  EXPECT_EQ(ObserveClient(c, 10.0, ref).deadline_diff, 0.0);
+  c.UpdateDeadlineDiff(1.0);
+  c.UpdateDeadlineDiff(0.0);
+  EXPECT_EQ(ObserveClient(c, 20.0, ref).deadline_diff, c.last_deadline_diff);
+  EXPECT_NEAR(ObserveClient(c, 30.0, ref).deadline_diff, 0.21, 1e-12);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/float_controller.h"
 #include "src/selection/random_selector.h"
 
@@ -110,7 +112,8 @@ TEST(SyncEngineTest, SimulateClientChargesPartialCostsOnDeadlineMiss) {
   while (!client.availability().IsAvailableAt(t)) {
     t += 600.0;
   }
-  const ClientRoundOutcome outcome = engine.SimulateClient(client, t, TechniqueKind::kNone);
+  const ClientRoundOutcome outcome =
+      engine.SimulateClient(client, engine.RoundsRun(), t, TechniqueKind::kNone, FaultDecision());
   if (outcome.reason == DropoutReason::kMissedDeadline) {
     EXPECT_FALSE(outcome.completed);
     EXPECT_GT(outcome.deadline_diff, 0.0);
@@ -119,6 +122,114 @@ TEST(SyncEngineTest, SimulateClientChargesPartialCostsOnDeadlineMiss) {
     // Only OOM can preempt the deadline check for an available client.
     EXPECT_EQ(outcome.reason, DropoutReason::kOutOfMemory);
   }
+}
+
+// First time at or after `t` at which `client` is (or is not) available.
+double FindAvailability(Client& client, bool available, double t = 0.0) {
+  while (client.availability().IsAvailableAt(t) != available) {
+    t = client.availability().PeriodEndAfter(t);
+  }
+  return t;
+}
+
+// A blackout pre-empts everything, even for a client that is online: the
+// task push never happens, so nothing is charged.
+TEST(SyncEngineTest, SimulateClientBlackoutChargesNothing) {
+  const ExperimentConfig config = SmallConfig();
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  Client& client = engine.clients()[0];
+  const double t = FindAvailability(client, true);
+  FaultDecision fault;
+  fault.blackout = true;
+  const ClientRoundOutcome outcome =
+      engine.SimulateClient(client, 0, t, TechniqueKind::kNone, fault);
+  EXPECT_FALSE(outcome.completed);
+  EXPECT_EQ(outcome.reason, DropoutReason::kUnavailable);
+  EXPECT_EQ(outcome.costs.train_time_s, 0.0);
+  EXPECT_EQ(outcome.costs.comm_time_s, 0.0);
+  EXPECT_EQ(outcome.costs.peak_memory_mb, 0.0);
+  EXPECT_EQ(outcome.time_spent_s, 0.0);
+}
+
+// A client selected while offline never trains; only the download leg of
+// the comm budget is charged.
+TEST(SyncEngineTest, SimulateClientOfflineChargesDownloadOnly) {
+  const ExperimentConfig config = SmallConfig();
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  Client& client = engine.clients()[0];
+  const double t = FindAvailability(client, false);
+  const ClientRoundOutcome outcome =
+      engine.SimulateClient(client, 0, t, TechniqueKind::kNone, FaultDecision());
+  EXPECT_FALSE(outcome.completed);
+  EXPECT_EQ(outcome.reason, DropoutReason::kUnavailable);
+  EXPECT_EQ(outcome.costs.train_time_s, 0.0);
+  EXPECT_EQ(outcome.costs.peak_memory_mb, 0.0);
+  EXPECT_GT(outcome.costs.comm_time_s, 0.0);
+  EXPECT_EQ(outcome.time_spent_s, outcome.costs.comm_time_s);
+}
+
+// Injected faults still apply with natural dropouts switched off. Each case
+// is compared with a fault-free call for the same client and instant.
+ClientRoundOutcome SimulateWith(SyncEngine& engine, const FaultDecision& fault) {
+  Client& client = engine.clients()[1];
+  const double t = FindAvailability(client, true, 3600.0);
+  return engine.SimulateClient(client, 0, t, TechniqueKind::kNone, fault);
+}
+
+TEST(SyncEngineTest, SimulateClientCrashChargesWorkUpToTheCrash) {
+  ExperimentConfig config = SmallConfig();
+  config.assume_no_dropouts = true;
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  const ClientRoundOutcome clean = SimulateWith(engine, FaultDecision());
+  ASSERT_TRUE(clean.completed);
+  FaultDecision fault;
+  fault.crash = true;
+  fault.crash_fraction = 0.25;
+  const ClientRoundOutcome crashed = SimulateWith(engine, fault);
+  EXPECT_FALSE(crashed.completed);
+  EXPECT_EQ(crashed.reason, DropoutReason::kCrashed);
+  EXPECT_EQ(crashed.costs.train_time_s, clean.costs.train_time_s * 0.25);
+  EXPECT_EQ(crashed.costs.comm_time_s, clean.costs.comm_time_s * 0.25);
+  EXPECT_EQ(crashed.time_spent_s,
+            std::min(0.25 * clean.costs.total_time_s, engine.CurrentRoundDeadline()));
+}
+
+TEST(SyncEngineTest, SimulateClientCorruptionCompletesWithFullCosts) {
+  ExperimentConfig config = SmallConfig();
+  config.assume_no_dropouts = true;
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  const ClientRoundOutcome clean = SimulateWith(engine, FaultDecision());
+  FaultDecision fault;
+  fault.corrupt = true;
+  fault.corrupt_kind = 2;
+  const ClientRoundOutcome corrupted = SimulateWith(engine, fault);
+  EXPECT_TRUE(corrupted.completed);
+  EXPECT_TRUE(corrupted.corrupted);
+  EXPECT_EQ(corrupted.corrupt_kind, 2u);
+  EXPECT_FALSE(corrupted.byzantine);
+  EXPECT_EQ(corrupted.costs.train_time_s, clean.costs.train_time_s);
+  EXPECT_EQ(corrupted.costs.comm_time_s, clean.costs.comm_time_s);
+  EXPECT_EQ(corrupted.time_spent_s, clean.time_spent_s);
+}
+
+TEST(SyncEngineTest, SimulateClientByzantineCompletesUncorrupted) {
+  ExperimentConfig config = SmallConfig();
+  config.assume_no_dropouts = true;
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  const ClientRoundOutcome clean = SimulateWith(engine, FaultDecision());
+  FaultDecision fault;
+  fault.byzantine = true;
+  const ClientRoundOutcome attacker = SimulateWith(engine, fault);
+  EXPECT_TRUE(attacker.completed);
+  EXPECT_TRUE(attacker.byzantine);
+  EXPECT_FALSE(attacker.corrupted);
+  EXPECT_EQ(attacker.costs.train_time_s, clean.costs.train_time_s);
+  EXPECT_EQ(attacker.time_spent_s, clean.time_spent_s);
 }
 
 // Golden regression trace: a pinned-seed sequential run must reproduce this

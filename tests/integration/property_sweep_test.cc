@@ -25,6 +25,29 @@ std::unique_ptr<Selector> MakeSelector(const std::string& name, const Experiment
   return std::make_unique<RandomSelector>(config.seed);
 }
 
+// The engine configuration every sweep case shares.
+ExperimentConfig SweepConfig(DatasetId dataset, InterferenceScenario interference,
+                             uint64_t seed) {
+  ExperimentConfig config;
+  config.num_clients = 50;
+  config.clients_per_round = 10;
+  config.rounds = 25;
+  config.dataset = dataset;
+  config.model = ModelId::kResNet34;
+  config.interference = interference;
+  config.seed = seed;
+  config.async_concurrency = 25;
+  config.async_buffer = 10;
+  return config;
+}
+
+const auto kDatasets = ::testing::Values(DatasetId::kFemnist, DatasetId::kCifar10,
+                                         DatasetId::kSpeech, DatasetId::kOpenImage);
+const auto kInterference = ::testing::Values(InterferenceScenario::kNone,
+                                             InterferenceScenario::kStatic,
+                                             InterferenceScenario::kDynamic);
+const auto kSeeds = ::testing::Values(uint64_t{17}, uint64_t{1234});
+
 using SweepParam = std::tuple<DatasetId, InterferenceScenario, std::string, uint64_t>;
 
 class EngineSweep : public ::testing::TestWithParam<SweepParam> {
@@ -32,17 +55,7 @@ class EngineSweep : public ::testing::TestWithParam<SweepParam> {
   ExperimentConfig Config() const {
     const auto& [dataset, interference, selector, seed] = GetParam();
     (void)selector;
-    ExperimentConfig config;
-    config.num_clients = 50;
-    config.clients_per_round = 10;
-    config.rounds = 25;
-    config.dataset = dataset;
-    config.model = ModelId::kResNet34;
-    config.interference = interference;
-    config.seed = seed;
-    config.async_concurrency = 25;
-    config.async_buffer = 10;
-    return config;
+    return SweepConfig(dataset, interference, seed);
   }
   std::string SelectorName() const { return std::get<2>(GetParam()); }
 };
@@ -79,11 +92,20 @@ TEST_P(EngineSweep, SyncInvariantsHold) {
   EXPECT_EQ(completed_sum, r.total_completed);
 }
 
-TEST_P(EngineSweep, AsyncInvariantsHold) {
-  if (SelectorName() != "fedavg") {
-    GTEST_SKIP() << "async engine has its own (FedBuff) selection";
-  }
-  const ExperimentConfig config = Config();
+INSTANTIATE_TEST_SUITE_P(Matrix, EngineSweep,
+                         ::testing::Combine(kDatasets, kInterference,
+                                            ::testing::Values("fedavg", "oort", "refl"),
+                                            kSeeds));
+
+// The async engine does its own (FedBuff) selection, so its sweep has no
+// selector axis.
+using AsyncSweepParam = std::tuple<DatasetId, InterferenceScenario, uint64_t>;
+
+class AsyncEngineSweep : public ::testing::TestWithParam<AsyncSweepParam> {};
+
+TEST_P(AsyncEngineSweep, AsyncInvariantsHold) {
+  const auto& [dataset, interference, seed] = GetParam();
+  const ExperimentConfig config = SweepConfig(dataset, interference, seed);
   AsyncEngine engine(config, nullptr);
   const ExperimentResult r = engine.Run();
   EXPECT_EQ(r.total_selected, r.total_completed + r.total_dropouts);
@@ -93,15 +115,8 @@ TEST_P(EngineSweep, AsyncInvariantsHold) {
   EXPECT_GT(r.wall_clock_hours, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, EngineSweep,
-    ::testing::Combine(::testing::Values(DatasetId::kFemnist, DatasetId::kCifar10,
-                                         DatasetId::kSpeech, DatasetId::kOpenImage),
-                       ::testing::Values(InterferenceScenario::kNone,
-                                         InterferenceScenario::kStatic,
-                                         InterferenceScenario::kDynamic),
-                       ::testing::Values("fedavg", "oort", "refl"),
-                       ::testing::Values(uint64_t{17}, uint64_t{1234})));
+INSTANTIATE_TEST_SUITE_P(Matrix, AsyncEngineSweep,
+                         ::testing::Combine(kDatasets, kInterference, kSeeds));
 
 }  // namespace
 }  // namespace floatfl

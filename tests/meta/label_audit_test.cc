@@ -20,8 +20,8 @@ namespace {
 // The closed set of subsystem labels the presets and CI know about.
 const std::set<std::string>& KnownLabels() {
   static const std::set<std::string> labels = {
-      "concurrency", "failure",  "agg",      "net",       "guard",
-      "perf",        "topology", "recovery", "admission", "salvage"};
+      "concurrency", "failure",  "agg",       "net",    "guard",
+      "topology",    "recovery", "admission", "salvage"};
   return labels;
 }
 

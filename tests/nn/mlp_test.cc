@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/agg/aggregator.h"
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/nn/optimizer.h"
@@ -47,6 +50,18 @@ TEST(MlpTest, AggregateUnequalWeightsGolden) {
   const std::vector<float> out = Mlp::Aggregate(sets, {3.0, 1.0});
   EXPECT_FLOAT_EQ(out[0], 4.0f);  // 0.75*2 + 0.25*10
   EXPECT_FLOAT_EQ(out[1], 8.0f);  // 0.75*4 + 0.25*20
+}
+
+// The real engine's FedAvg (through Mlp) and the aggregator's FedAvg rule
+// share one implementation, so they agree to the bit on real parameters.
+TEST(MlpTest, AggregateIsWeightedMeanAggregate) {
+  Rng rng(3);
+  std::vector<std::vector<float>> sets;
+  for (int i = 0; i < 5; ++i) {
+    sets.push_back(Mlp({6, 9, 4}, rng).GetParameters());
+  }
+  const std::vector<double> weights = {12.0, 3.5, 40.0, 1.0, 7.25};
+  EXPECT_EQ(Mlp::Aggregate(sets, weights), WeightedMeanAggregate(sets, weights));
 }
 
 TEST(MlpTest, AggregateSingleClientIsIdentity) {

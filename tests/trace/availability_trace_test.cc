@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/failure/checkpoint_io.h"
+
 namespace floatfl {
 namespace {
 
@@ -67,6 +71,29 @@ TEST(AvailabilityTraceTest, DeterministicForSeed) {
   AvailabilityTrace b(9);
   for (double t = 0.0; t < 86400.0; t += 300.0) {
     EXPECT_EQ(a.IsAvailableAt(t), b.IsAvailableAt(t));
+  }
+}
+
+// A trace restored to an earlier checkpoint must replay every later query,
+// across many on/off period flips, exactly as it answered before the restore.
+TEST(AvailabilityTraceTest, RestoreThenRequeryCatchesUp) {
+  AvailabilityTrace trace(10);
+  (void)trace.IsAvailableAt(1000.0);
+  CheckpointWriter w;
+  trace.SaveState(w);
+  std::vector<bool> before;
+  std::vector<double> ends_before;
+  for (double t = 2000.0; t < 3.0 * 86400.0; t += 900.0) {
+    before.push_back(trace.IsAvailableAt(t));
+    ends_before.push_back(trace.PeriodEndAfter(t));
+  }
+  CheckpointReader r(w.buffer());
+  trace.LoadState(r);
+  ASSERT_TRUE(r.ok());
+  size_t i = 0;
+  for (double t = 2000.0; t < 3.0 * 86400.0; t += 900.0, ++i) {
+    EXPECT_EQ(before[i], trace.IsAvailableAt(t)) << "t=" << t;
+    EXPECT_EQ(ends_before[i], trace.PeriodEndAfter(t)) << "t=" << t;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 namespace {
@@ -71,6 +72,37 @@ TEST(ComputeTraceTest, DeterministicForSeed) {
   for (double t = 0.0; t < 3600.0; t += 30.0) {
     EXPECT_DOUBLE_EQ(a.GflopsAt(t), b.GflopsAt(t));
   }
+}
+
+// Restore-then-re-query: see NetworkTraceTest.RestoreThenRequeryCatchesUp.
+TEST(ComputeTraceTest, RestoreThenRequeryCatchesUp) {
+  ComputeTrace trace = ComputeTrace::SampleDevice(76);
+  (void)trace.GflopsAt(100.0);
+  CheckpointWriter w;
+  trace.SaveState(w);
+  const double at_500 = trace.GflopsAt(500.0);
+  CheckpointReader r(w.buffer());
+  trace.LoadState(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(at_500, trace.GflopsAt(500.0));
+}
+
+// Re-query at an unchanged time: see
+// NetworkTraceTest.RepeatedQueriesMatchDistinctQueries.
+TEST(ComputeTraceTest, RepeatedQueriesMatchDistinctQueries) {
+  ComputeTrace repeated = ComputeTrace::SampleDevice(73);
+  ComputeTrace distinct = ComputeTrace::SampleDevice(73);
+  for (double t : {0.0, 12.5, 40.0, 41.0, 300.0, 7200.0}) {
+    const double first = repeated.GflopsAt(t);
+    EXPECT_EQ(first, repeated.GflopsAt(t)) << "t=" << t;
+    EXPECT_EQ(first, repeated.GflopsAt(t)) << "t=" << t;
+    EXPECT_EQ(first, distinct.GflopsAt(t)) << "t=" << t;
+  }
+  CheckpointWriter repeated_state;
+  repeated.SaveState(repeated_state);
+  CheckpointWriter distinct_state;
+  distinct.SaveState(distinct_state);
+  EXPECT_EQ(repeated_state.buffer(), distinct_state.buffer());
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 namespace {
@@ -66,6 +67,46 @@ TEST(InterferenceTest, DeterministicForSeed) {
   for (double t = 0.0; t < 3600.0; t += 15.0) {
     EXPECT_DOUBLE_EQ(a.At(t).cpu, b.At(t).cpu);
     EXPECT_DOUBLE_EQ(a.At(t).network, b.At(t).network);
+  }
+}
+
+// Restore-then-re-query: see NetworkTraceTest.RestoreThenRequeryCatchesUp.
+TEST(InterferenceTest, RestoreThenRequeryCatchesUp) {
+  InterferenceModel model(InterferenceScenario::kDynamic, 77);
+  (void)model.At(100.0);
+  CheckpointWriter w;
+  model.SaveState(w);
+  const ResourceAvailability at_400 = model.At(400.0);
+  CheckpointReader r(w.buffer());
+  model.LoadState(r);
+  ASSERT_TRUE(r.ok());
+  const ResourceAvailability again = model.At(400.0);
+  EXPECT_EQ(at_400.cpu, again.cpu);
+  EXPECT_EQ(at_400.memory, again.memory);
+  EXPECT_EQ(at_400.network, again.network);
+}
+
+// Re-query at an unchanged time: see
+// NetworkTraceTest.RepeatedQueriesMatchDistinctQueries.
+TEST(InterferenceTest, RepeatedQueriesMatchDistinctQueries) {
+  for (InterferenceScenario scenario : {InterferenceScenario::kNone,
+                                        InterferenceScenario::kStatic,
+                                        InterferenceScenario::kDynamic}) {
+    InterferenceModel repeated(scenario, 74);
+    InterferenceModel distinct(scenario, 74);
+    for (double t : {0.0, 12.5, 40.0, 41.0, 300.0, 7200.0}) {
+      const ResourceAvailability first = repeated.At(t);
+      for (const ResourceAvailability& other : {repeated.At(t), distinct.At(t)}) {
+        EXPECT_EQ(first.cpu, other.cpu) << "t=" << t;
+        EXPECT_EQ(first.memory, other.memory) << "t=" << t;
+        EXPECT_EQ(first.network, other.network) << "t=" << t;
+      }
+    }
+    CheckpointWriter repeated_state;
+    repeated.SaveState(repeated_state);
+    CheckpointWriter distinct_state;
+    distinct.SaveState(distinct_state);
+    EXPECT_EQ(repeated_state.buffer(), distinct_state.buffer());
   }
 }
 

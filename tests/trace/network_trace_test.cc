@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 namespace {
@@ -143,6 +144,42 @@ TEST(NetworkTraceTest, NominalWithinSaneRange) {
     NetworkTrace f5(NetworkKind::kFiveG, seed);
     EXPECT_GT(f5.NominalMbps(), 10.0);
     EXPECT_LT(f5.NominalMbps(), 2000.0);
+  }
+}
+
+// A trace restored to an earlier checkpoint and queried again at a time it
+// already reached before the restore must catch up from the restored state
+// and reproduce the original value exactly.
+TEST(NetworkTraceTest, RestoreThenRequeryCatchesUp) {
+  NetworkTrace trace(NetworkKind::kFourG, 75);
+  (void)trace.BandwidthMbpsAt(100.0);
+  CheckpointWriter w;
+  trace.SaveState(w);
+  const double at_200 = trace.BandwidthMbpsAt(200.0);
+  CheckpointReader r(w.buffer());
+  trace.LoadState(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(at_200, trace.BandwidthMbpsAt(200.0));
+}
+
+// Several transfers can start at one simulated instant, so engines re-query
+// a trace at an unchanged time. Such a re-query must be a no-op: the same
+// value, and the same serialized state as a twin that saw each time once.
+TEST(NetworkTraceTest, RepeatedQueriesMatchDistinctQueries) {
+  for (NetworkKind kind : {NetworkKind::kFourG, NetworkKind::kFiveG}) {
+    NetworkTrace repeated(kind, 71);
+    NetworkTrace distinct(kind, 71);
+    for (double t : {0.0, 12.5, 40.0, 41.0, 300.0, 7200.0}) {
+      const double first = repeated.BandwidthMbpsAt(t);
+      EXPECT_EQ(first, repeated.BandwidthMbpsAt(t)) << "t=" << t;
+      EXPECT_EQ(first, repeated.BandwidthMbpsAt(t)) << "t=" << t;
+      EXPECT_EQ(first, distinct.BandwidthMbpsAt(t)) << "t=" << t;
+    }
+    CheckpointWriter repeated_state;
+    repeated.SaveState(repeated_state);
+    CheckpointWriter distinct_state;
+    distinct.SaveState(distinct_state);
+    EXPECT_EQ(repeated_state.buffer(), distinct_state.buffer());
   }
 }
 
