@@ -384,26 +384,33 @@ void SyncEngine::RunRound(size_t round) {
   global.epochs = config_.epochs;
   global.participants = config_.clients_per_round;
 
-  // Phase 1 (sequential): observe each client and let the policy decide,
-  // preserving the policy's internal draw order across thread counts. Fault
-  // decisions are drawn here too — each from its own (round, client)-keyed
-  // stream, so their order is irrelevant, but batching them keeps phase 2
-  // free of injector calls.
-  std::vector<ClientObservation> observations;
+  // Phase 1a (parallel): observe each client. An observation reads only its
+  // own client and catches its interference trace up to now_s_, the one
+  // time every phase of the round queries. Ids in `selected` are distinct
+  // (selectors sample without replacement; the scheduler drafts backups
+  // only from clients not yet busy this round), so no two tasks share a
+  // trace, and each observation lands in its own slot.
+  std::vector<ClientObservation> observations(selected.size());
+  ParallelFor(pool_.get(), selected.size(), [&](size_t i) {
+    FLOATFL_CHECK(selected[i] < clients_.size());
+    observations[i] = ObserveClient(clients_[selected[i]], now_s_, reference_);
+  });
+
+  // Phase 1b (sequential): let the policy decide in selection order,
+  // preserving its internal draw order across thread counts. Fault decisions
+  // are drawn here too — each from its own (round, client)-keyed stream, so
+  // their order is irrelevant, but batching them keeps phase 2 free of
+  // injector calls.
   std::vector<TechniqueKind> techniques;
   std::vector<FaultDecision> faults(selected.size());
-  observations.reserve(selected.size());
   techniques.reserve(selected.size());
   for (size_t i = 0; i < selected.size(); ++i) {
     const size_t id = selected[i];
-    FLOATFL_CHECK(id < clients_.size());
-    Client& client = clients_[id];
-    observations.push_back(ObserveClient(client, now_s_, reference_));
     // The policy always gets its Decide call (preserving its internal draw
     // order); the guard may then veto the chosen action (safe mode or
     // quarantine) and substitute kNone.
     techniques.push_back(
-        guard_.Filter(policy_ != nullptr ? policy_->Decide(id, observations.back(), global)
+        guard_.Filter(policy_ != nullptr ? policy_->Decide(id, observations[i], global)
                                          : TechniqueKind::kNone,
                       round));
     if (injector_.enabled()) {

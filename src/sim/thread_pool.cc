@@ -1,6 +1,7 @@
 #include "src/sim/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -84,33 +85,35 @@ void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& 
     }
     return;
   }
-  const size_t chunks = std::min(n, pool->num_workers() + 1);
-  const auto chunk_begin = [n, chunks](size_t c) { return c * n / chunks; };
-
-  // Chunks 1..chunks-1 go to the pool; the caller runs chunk 0 itself.
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  for (size_t c = 1; c < chunks; ++c) {
-    const size_t begin = chunk_begin(c);
-    const size_t end = chunk_begin(c + 1);
-    futures.push_back(pool->Submit([&fn, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
+  // Every participant claims the next unclaimed index until none is left, so
+  // one costly index delays only the thread that runs it.
+  std::atomic<size_t> next{0};
+  std::mutex error_mu;
+  size_t error_index = n;  // guarded by error_mu
+  std::exception_ptr error;  // guarded by error_mu
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      try {
         fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
       }
-    }));
-  }
-
-  std::exception_ptr caller_error;
-  try {
-    const size_t end = chunk_begin(1);
-    for (size_t i = 0; i < end; ++i) {
-      fn(i);
     }
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
+  };
 
-  // Wait for every chunk, helping drain the queue instead of blocking so a
+  const size_t helpers = std::min(n - 1, pool->num_workers());
+  std::vector<std::future<void>> futures;
+  futures.reserve(helpers);
+  for (size_t h = 0; h < helpers; ++h) {
+    futures.push_back(pool->Submit(drain));
+  }
+  drain();
+
+  // Wait for every helper, helping drain the queue instead of blocking so a
   // nested ParallelFor issued from inside a task cannot deadlock the pool.
   for (auto& future : futures) {
     while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
@@ -119,11 +122,8 @@ void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& 
       }
     }
   }
-  if (caller_error != nullptr) {
-    std::rethrow_exception(caller_error);
-  }
-  for (auto& future : futures) {
-    future.get();  // rethrows the lowest-indexed pool-chunk failure
+  if (error != nullptr) {
+    std::rethrow_exception(error);
   }
 }
 

@@ -61,14 +61,18 @@ class ThreadPool {
 // 0 = hardware_concurrency() (at least 1), anything else is taken verbatim.
 size_t ResolveThreadCount(size_t requested);
 
-// Runs fn(i) for every i in [0, n), splitting the range into contiguous
-// chunks across the pool's workers plus the calling thread, and blocks until
-// all of them finish. With a null pool (or no workers, or n <= 1) the loop
-// runs inline in index order — the engines' num_threads == 1 path.
+// Runs fn(i) for every i in [0, n) on the calling thread plus up to
+// num_workers() pool tasks, and blocks until all of them finish. Indices are
+// handed out one at a time from a shared counter: each participant claims
+// the next unclaimed i until n is reached, so an index that costs more than
+// the rest holds up only the thread running it. Which thread runs which
+// index is unspecified; callers keep results deterministic by writing only
+// per-index state. With a null pool (or no workers, or n <= 1) the loop runs
+// inline in index order — the engines' num_threads == 1 path.
 //
-// If one or more invocations throw, every chunk still runs to its own
-// completion or failure, and the exception of the lowest-indexed failing
-// chunk is rethrown — deterministic for a deterministic fn.
+// If one or more invocations throw, every other index still runs, and the
+// exception of the lowest failing index is rethrown — deterministic for a
+// deterministic fn.
 void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace floatfl

@@ -42,15 +42,18 @@ void AvailabilityTrace::ExtendTo(double time_s) {
 }
 
 const AvailabilityTrace::Segment& AvailabilityTrace::SegmentAt(double time_s) {
-  FLOATFL_CHECK(time_s >= 0.0);
+  FLOATFL_CHECK_MSG(time_s >= segments_.front().start,
+                    "AvailabilityTrace queried before its retained history (monotonic contract)");
   ExtendTo(time_s);
-  // Queries are near-monotonic; scan from the back.
-  for (size_t i = segments_.size(); i-- > 0;) {
-    if (segments_[i].start <= time_s && time_s < segments_[i].end) {
-      return segments_[i];
-    }
+  // The segments tile [front().start, back().end) and back().end > time_s, so
+  // one of them holds time_s. Queries are near-monotonic; scan from the back.
+  size_t i = segments_.size() - 1;
+  while (time_s < segments_[i].start) {
+    --i;
   }
-  return segments_.back();
+  // No later query can land before this segment: drop the ones it follows.
+  segments_.erase(segments_.begin(), segments_.begin() + i);
+  return segments_.front();
 }
 
 bool AvailabilityTrace::IsAvailableAt(double time_s) { return SegmentAt(time_s).on; }

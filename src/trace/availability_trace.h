@@ -20,6 +20,12 @@ class AvailabilityTrace {
   // mean_on_s / mean_off_s: mean durations of available/unavailable periods.
   AvailabilityTrace(uint64_t seed, double mean_on_s = 9000.0, double mean_off_s = 3000.0);
 
+  // Queries at `time_s` (`start_s` for AvailableFor) follow the
+  // monotonic-time contract as in NetworkTrace: they MUST be non-decreasing
+  // in time — the engines and selectors all query at the current simulated
+  // time. Each query drops the periods that ended before the one holding
+  // `time_s`, and a query before the retained history aborts (FLOATFL_CHECK)
+  // rather than answering from the wrong period.
   bool IsAvailableAt(double time_s);
 
   // Time at which the current period (on or off) ends, > time_s.
@@ -28,7 +34,7 @@ class AvailabilityTrace {
   // True iff the client stays available over the whole [start, start+dur).
   bool AvailableFor(double start_s, double duration_s);
 
-  // Checkpoint/resume: the materialized segments plus the RNG stream, so a
+  // Checkpoint/resume: the retained segments plus the RNG stream, so a
   // restored trace continues the exact same renewal process.
   void SaveState(CheckpointWriter& w) const;
   void LoadState(CheckpointReader& r);
@@ -41,6 +47,7 @@ class AvailabilityTrace {
   };
 
   void ExtendTo(double time_s);
+  // The segment holding time_s; drops every segment before it.
   const Segment& SegmentAt(double time_s);
 
   Rng rng_;

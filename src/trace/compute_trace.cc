@@ -62,12 +62,17 @@ double ComputeTrace::GflopsAt(double time_s) {
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
     current_time_ = time_s - kStepSeconds * (kMaxCatchupSteps / 2.0);
   }
+  bool stepped = false;
   while (current_time_ + kStepSeconds <= time_s) {
     // Slow log-space AR(1): thermal throttling and background load cause
     // sustained (minutes-long) throughput swings of up to ~2x.
     drift_ = 0.95 * drift_ + 0.08 * rng_.Normal();
-    current_gflops_ = std::max(0.05 * base_gflops_, base_gflops_ * std::exp(drift_));
     current_time_ += kStepSeconds;
+    stepped = true;
+  }
+  // Only the value after the last step is observable; derive it once.
+  if (stepped) {
+    current_gflops_ = std::max(0.05 * base_gflops_, base_gflops_ * std::exp(drift_));
   }
   return current_gflops_;
 }

@@ -55,14 +55,19 @@ ResourceAvailability InterferenceModel::At(double time_s) {
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
     current_time_ = time_s - kStepSeconds * (kMaxCatchupSteps / 2.0);
   }
+  bool stepped = false;
   while (current_time_ + kStepSeconds <= time_s) {
     dev_cpu_ = 0.88 * dev_cpu_ + 0.12 * rng_.Normal();
     dev_mem_ = 0.92 * dev_mem_ + 0.08 * rng_.Normal();
     dev_net_ = 0.85 * dev_net_ + 0.15 * rng_.Normal();
+    current_time_ += kStepSeconds;
+    stepped = true;
+  }
+  // Only the fractions after the last step are observable; derive them once.
+  if (stepped) {
     current_.cpu = Clamp01(static_level_.cpu * std::exp(0.45 * dev_cpu_));
     current_.memory = Clamp01(static_level_.memory * std::exp(0.30 * dev_mem_));
     current_.network = Clamp01(static_level_.network * std::exp(0.55 * dev_net_));
-    current_time_ += kStepSeconds;
   }
   return current_;
 }

@@ -35,11 +35,6 @@ NetworkTrace::NetworkTrace(NetworkKind kind, uint64_t seed) : kind_(kind), rng_(
 }
 
 void NetworkTrace::Step() {
-  if (sigma_ == 0.0) {
-    // Degenerate Constant() trace: pinned forever (even below the 0.01 Mbps
-    // floor the stochastic process enforces — Constant(0) must stay 0).
-    return;
-  }
   // Regime transitions.
   const double u = rng_.NextDouble();
   if (regime_ == 0) {
@@ -57,13 +52,6 @@ void NetworkTrace::Step() {
   }
   // Log-space AR(1) around the regime median.
   log_dev_ = revert_ * log_dev_ + sigma_ * rng_.Normal();
-  double median = nominal_mbps_;
-  if (regime_ == 1) {
-    median *= 0.25;
-  } else if (regime_ == 2) {
-    median *= 0.005;  // effectively unusable, but never exactly zero
-  }
-  current_mbps_ = std::max(0.01, median * std::exp(log_dev_));
 }
 
 NetworkTrace NetworkTrace::Constant(double mbps) {
@@ -92,9 +80,28 @@ double NetworkTrace::BandwidthMbpsAt(double time_s) {
   if (time_s - current_time_ > kStepSeconds * kMaxCatchupSteps) {
     current_time_ = time_s - kStepSeconds * (kMaxCatchupSteps / 2.0);
   }
+  // A degenerate Constant() trace never steps: it stays pinned forever, even
+  // below the 0.01 Mbps floor the stochastic process enforces (Constant(0)
+  // must stay 0).
+  const bool pinned = sigma_ == 0.0;
+  bool stepped = false;
   while (current_time_ + kStepSeconds <= time_s) {
-    Step();
+    if (!pinned) {
+      Step();
+      stepped = true;
+    }
     current_time_ += kStepSeconds;
+  }
+  // Only the bandwidth after the last step can be observed (a checkpoint
+  // saves state between queries), so it is derived once per catch-up.
+  if (stepped) {
+    double median = nominal_mbps_;
+    if (regime_ == 1) {
+      median *= 0.25;
+    } else if (regime_ == 2) {
+      median *= 0.005;  // effectively unusable, but never exactly zero
+    }
+    current_mbps_ = std::max(0.01, median * std::exp(log_dev_));
   }
   return current_mbps_;
 }

@@ -46,6 +46,8 @@ class NetworkTrace {
   void LoadState(CheckpointReader& r);
 
  private:
+  // Advances the regime and the log-space AR(1) by one step; the bandwidth
+  // they imply is derived by BandwidthMbpsAt after its last step.
   void Step();
 
   NetworkKind kind_;

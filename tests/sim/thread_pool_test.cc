@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,70 @@ TEST(ParallelForTest, DeeplyNestedReentrancy) {
     });
   });
   EXPECT_EQ(leaves.load(), 64);
+}
+
+TEST(ParallelForTest, EveryNonThrowingIndexRunsOnceAndLowestFailureWins) {
+  ThreadPool pool(3);
+  const size_t n = 300;
+  std::vector<std::atomic<int>> hits(n);
+  try {
+    ParallelFor(&pool, n, [&hits](size_t i) {
+      if (i % 3 == 0) {
+        throw std::runtime_error("index " + std::to_string(i));
+      }
+      ++hits[i];
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 0");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i].load(), i % 3 == 0 ? 0 : 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, CostlyIndexWithNestedCallsCoversEverything) {
+  ThreadPool pool(2);
+  const size_t outer = 24;
+  const size_t inner = 10;
+  const size_t costly = 5;  // 100x the nested work of every other index
+  std::vector<std::vector<std::atomic<int>>> hits(outer);
+  for (size_t o = 0; o < outer; ++o) {
+    hits[o] = std::vector<std::atomic<int>>(o == costly ? 100 * inner : inner);
+  }
+  ParallelFor(&pool, outer, [&](size_t o) {
+    ParallelFor(&pool, hits[o].size(), [&, o](size_t i) { ++hits[o][i]; });
+  });
+  for (size_t o = 0; o < outer; ++o) {
+    for (size_t i = 0; i < hits[o].size(); ++i) {
+      EXPECT_EQ(hits[o][i].load(), 1) << "outer " << o << " inner " << i;
+    }
+  }
+}
+
+TEST(ParallelForTest, BlockedIndexDoesNotStrandTheRest) {
+  // Indices are claimed one at a time, so while one participant is stuck on
+  // an index the others run every remaining one.
+  ThreadPool pool(1);
+  const size_t n = 40;
+  std::atomic<size_t> others_done{0};
+  std::atomic<bool> timed_out{false};
+  ParallelFor(&pool, n, [&](size_t i) {
+    if (i != 0) {
+      ++others_done;
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others_done.load() < n - 1) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(others_done.load(), n - 1);
 }
 
 TEST(ResolveThreadCountTest, ZeroMeansHardwareConcurrency) {

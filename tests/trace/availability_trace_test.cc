@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "src/failure/checkpoint_io.h"
@@ -95,6 +96,45 @@ TEST(AvailabilityTraceTest, RestoreThenRequeryCatchesUp) {
     EXPECT_EQ(before[i], trace.IsAvailableAt(t)) << "t=" << t;
     EXPECT_EQ(ends_before[i], trace.PeriodEndAfter(t)) << "t=" << t;
   }
+}
+
+// Each query drops the periods before the one it lands in. Dropping them must
+// not change any answer: a trace queried every 5 minutes and a twin queried
+// only every 3 hours agree at every shared time over 30 simulated days.
+TEST(AvailabilityTraceTest, SparseAndDenseQueriesAgree) {
+  AvailabilityTrace dense(11);
+  AvailabilityTrace sparse(11);
+  constexpr double kSparseEveryS = 3.0 * 3600.0;
+  for (double t = 0.0; t < 30.0 * 86400.0; t += 300.0) {
+    const bool on = dense.IsAvailableAt(t);
+    const double end = dense.PeriodEndAfter(t);
+    if (std::fmod(t, kSparseEveryS) == 0.0) {
+      EXPECT_EQ(on, sparse.IsAvailableAt(t)) << "t=" << t;
+      EXPECT_EQ(end, sparse.PeriodEndAfter(t)) << "t=" << t;
+    }
+  }
+}
+
+// The retained history stays bounded: after 30 days of queries every
+// 5 minutes (hundreds of on/off periods) the checkpoint holds only the
+// periods from the latest query on.
+TEST(AvailabilityTraceTest, RetainedHistoryStaysSmall) {
+  AvailabilityTrace trace(12);
+  for (double t = 0.0; t < 30.0 * 86400.0; t += 300.0) {
+    (void)trace.IsAvailableAt(t);
+  }
+  CheckpointWriter w;
+  trace.SaveState(w);
+  EXPECT_LT(w.buffer().size(), 1024u);
+}
+
+TEST(AvailabilityTraceDeathTest, QueryBeforeRetainedHistoryAborts) {
+  // The monotonic-query contract: the periods before the latest query are
+  // gone, so an earlier query aborts instead of answering from another
+  // period.
+  AvailabilityTrace trace(13);
+  (void)trace.IsAvailableAt(2.0 * 86400.0);
+  EXPECT_DEATH((void)trace.IsAvailableAt(0.0), "retained history");
 }
 
 }  // namespace

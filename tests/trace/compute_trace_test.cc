@@ -105,5 +105,24 @@ TEST(ComputeTraceTest, RepeatedQueriesMatchDistinctQueries) {
   EXPECT_EQ(repeated_state.buffer(), distinct_state.buffer());
 }
 
+// Long catch-up against a twin queried at every step boundary: see
+// NetworkTraceTest.LongCatchUpMatchesStepByStep.
+TEST(ComputeTraceTest, LongCatchUpMatchesStepByStep) {
+  constexpr int kSteps = 2000;
+  constexpr double kStepS = 30.0;
+  ComputeTrace caught_up = ComputeTrace::SampleDevice(79);
+  ComputeTrace stepwise = ComputeTrace::SampleDevice(79);
+  double last = 0.0;
+  for (int k = 1; k <= kSteps; ++k) {
+    last = stepwise.GflopsAt(k * kStepS);
+  }
+  EXPECT_EQ(last, caught_up.GflopsAt(kSteps * kStepS));
+  CheckpointWriter caught_up_state;
+  caught_up.SaveState(caught_up_state);
+  CheckpointWriter stepwise_state;
+  stepwise.SaveState(stepwise_state);
+  EXPECT_EQ(caught_up_state.buffer(), stepwise_state.buffer());
+}
+
 }  // namespace
 }  // namespace floatfl

@@ -110,5 +110,27 @@ TEST(InterferenceTest, RepeatedQueriesMatchDistinctQueries) {
   }
 }
 
+// Long catch-up against a twin queried at every step boundary: see
+// NetworkTraceTest.LongCatchUpMatchesStepByStep.
+TEST(InterferenceTest, LongCatchUpMatchesStepByStep) {
+  constexpr int kSteps = 2000;
+  constexpr double kStepS = 15.0;
+  InterferenceModel caught_up(InterferenceScenario::kDynamic, 80);
+  InterferenceModel stepwise(InterferenceScenario::kDynamic, 80);
+  ResourceAvailability last;
+  for (int k = 1; k <= kSteps; ++k) {
+    last = stepwise.At(k * kStepS);
+  }
+  const ResourceAvailability once = caught_up.At(kSteps * kStepS);
+  EXPECT_EQ(last.cpu, once.cpu);
+  EXPECT_EQ(last.memory, once.memory);
+  EXPECT_EQ(last.network, once.network);
+  CheckpointWriter caught_up_state;
+  caught_up.SaveState(caught_up_state);
+  CheckpointWriter stepwise_state;
+  stepwise.SaveState(stepwise_state);
+  EXPECT_EQ(caught_up_state.buffer(), stepwise_state.buffer());
+}
+
 }  // namespace
 }  // namespace floatfl

@@ -183,5 +183,44 @@ TEST(NetworkTraceTest, RepeatedQueriesMatchDistinctQueries) {
   }
 }
 
+// One query that catches up many steps derives the bandwidth once, after the
+// last step. It must match, bit for bit, a twin queried at every step
+// boundary (which derives it after each step), in value and in serialized
+// state. In 2000 steps the twin's path visits the good regime and a bad one,
+// and both traces stay short of the 4096-step fast-forward.
+TEST(NetworkTraceTest, LongCatchUpMatchesStepByStep) {
+  constexpr int kSteps = 2000;
+  constexpr double kStepS = 10.0;
+  for (NetworkKind kind : {NetworkKind::kFourG, NetworkKind::kFiveG}) {
+    NetworkTrace caught_up(kind, 78);
+    NetworkTrace stepwise(kind, 78);
+    const double nominal = stepwise.NominalMbps();
+    bool left_good_regime = false;
+    bool in_good_regime = false;
+    double last = 0.0;
+    for (int k = 1; k <= kSteps; ++k) {
+      last = stepwise.BandwidthMbpsAt(k * kStepS);
+      left_good_regime = left_good_regime || last < 0.02 * nominal;
+      in_good_regime = in_good_regime || last > 0.5 * nominal;
+    }
+    EXPECT_TRUE(left_good_regime);
+    EXPECT_TRUE(in_good_regime);
+    EXPECT_EQ(last, caught_up.BandwidthMbpsAt(kSteps * kStepS));
+    CheckpointWriter caught_up_state;
+    caught_up.SaveState(caught_up_state);
+    CheckpointWriter stepwise_state;
+    stepwise.SaveState(stepwise_state);
+    EXPECT_EQ(caught_up_state.buffer(), stepwise_state.buffer());
+  }
+}
+
+// A Constant() trace never steps, so no catch-up derives a value for it:
+// Constant(0) stays 0 across a long gap and across the fast-forward.
+TEST(NetworkTraceTest, ConstantZeroStaysZeroAfterLongCatchUp) {
+  NetworkTrace trace = NetworkTrace::Constant(0.0);
+  EXPECT_EQ(trace.BandwidthMbpsAt(2000 * 10.0), 0.0);
+  EXPECT_EQ(trace.BandwidthMbpsAt(30.0 * 86400.0), 0.0);
+}
+
 }  // namespace
 }  // namespace floatfl
