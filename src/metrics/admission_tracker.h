@@ -24,6 +24,16 @@ class AdmissionTracker {
       peak_queue_depth_ = depth;
     }
   }
+  // Folds `other`'s counts into this tracker (one round's bursts into the
+  // run's totals); the peak stays the deeper of the two.
+  void Merge(const AdmissionTracker& other) {
+    admitted_ += other.admitted_;
+    deduplicated_ += other.deduplicated_;
+    shed_ += other.shed_;
+    rate_limited_ += other.rate_limited_;
+    replay_rejected_ += other.replay_rejected_;
+    RecordQueueDepth(other.peak_queue_depth_);
+  }
 
   size_t Admitted() const { return admitted_; }
   size_t Deduplicated() const { return deduplicated_; }
