@@ -55,6 +55,21 @@ TEST(TopologyFailoverTest, SyncFailoverBeatsOrphaningUnderEdgeCrashes) {
   EXPECT_GT(with_failover.global_accuracy, without.global_accuracy);
 }
 
+TEST(TopologyFailoverTest, SyncOrphanReplayNeverReachesTheRoot) {
+  // Every selected client's last upload is replayed to an ungated server,
+  // orphaned clients included. An orphan has no live edge, so its admitted
+  // replay is dropped at the edge tier instead of indexing past the groups.
+  ExperimentConfig config = CrashyTree(false);
+  config.faults.replay_prob = 1.0;
+  RandomSelector sel(config.seed);
+  StaticPolicy pol(TechniqueKind::kQuant8);
+  SyncEngine engine(config, &sel, &pol);
+  const ExperimentResult result = engine.Run();
+  EXPECT_GT(result.orphaned_clients, 0u);
+  EXPECT_GT(result.redundant_mb, 0.0);
+  EXPECT_EQ(result.accuracy_history.size(), config.rounds);
+}
+
 RealFlConfig RealCrashyTree(bool failover) {
   RealFlConfig config;
   config.num_clients = 12;
