@@ -8,12 +8,17 @@
 //      (events == total_selected), and completions + dropouts == selected.
 //   3. Determinism: 50 rounds + checkpoint/resume + 50 rounds is bit-exact
 //      against the uninterrupted run.
+// The same storms also pin each engine's end state to a digest (StagePinTest
+// below).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "src/core/float_controller.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/checkpointer.h"
 #include "src/fl/async_engine.h"
@@ -107,6 +112,47 @@ ExperimentConfig SyncChaosConfig() {
   return config;
 }
 
+// The async storm: no round deadline, so speculation (and the tree) stay off.
+ExperimentConfig AsyncChaosConfig() {
+  ExperimentConfig config = ChaosConfig();
+  config.salvage.speculation = false;
+  config.async_concurrency = 16;
+  config.async_buffer = 4;
+  return config;
+}
+
+// The real-engine storm: every fault system the parameter-space engine has.
+RealFlConfig RealChaosConfig() {
+  RealFlConfig config;
+  config.num_clients = 12;
+  config.clients_per_round = 6;
+  config.num_classes = 3;
+  config.input_dim = 8;
+  config.hidden_dims = {12};
+  config.test_samples_per_class = 10;
+  config.seed = 67;
+  config.num_threads = 1;
+  config.sgd.epochs = 2;
+  config.faults.crash_prob = 0.2;
+  config.faults.corrupt_prob = 0.1;
+  config.faults.byzantine_mode = ByzantineMode::kScaledReplacement;
+  config.faults.byzantine_fraction = 0.2;
+  config.aggregator.kind = AggregatorKind::kTrimmedMean;
+  config.faults.chunk_loss_prob = 0.15;
+  config.faults.transport_chunk_mb = 0.01;
+  config.faults.max_transfer_retries = 1;
+  config.faults.duplicate_prob = 0.3;
+  config.faults.replay_prob = 0.3;
+  config.admission.dedup = true;
+  config.admission.reject_replays = true;
+  config.guard.enabled = true;
+  config.topology.num_edges = 2;
+  config.topology.edge_crash_prob = 0.1;
+  config.topology.edge_retry_cooldown_rounds = 2;
+  config.salvage.enabled = true;
+  return config;
+}
+
 void ExpectFinite(const ExperimentResult& r) {
   for (double v :
        {r.accuracy_avg, r.accuracy_top10, r.accuracy_bottom10, r.global_accuracy, r.wire_mb,
@@ -175,11 +221,7 @@ TEST(ChaosSoakTest, SyncEngineSurvivesTheFullStormWithSalvageArmed) {
 }
 
 TEST(ChaosSoakTest, AsyncEngineSurvivesTheFullStormWithSalvageArmed) {
-  ExperimentConfig config = ChaosConfig();
-  // No round deadline in async FL: speculation (and the tree) stay off.
-  config.salvage.speculation = false;
-  config.async_concurrency = 16;
-  config.async_buffer = 4;
+  const ExperimentConfig config = AsyncChaosConfig();
   const std::string path = TempPath("chaos_async_resume.ckpt");
 
   CountingPolicy full_pol;
@@ -212,33 +254,7 @@ TEST(ChaosSoakTest, AsyncEngineSurvivesTheFullStormWithSalvageArmed) {
 }
 
 TEST(ChaosSoakTest, RealEngineSurvivesTheFullStormWithSalvageArmed) {
-  RealFlConfig config;
-  config.num_clients = 12;
-  config.clients_per_round = 6;
-  config.num_classes = 3;
-  config.input_dim = 8;
-  config.hidden_dims = {12};
-  config.test_samples_per_class = 10;
-  config.seed = 67;
-  config.num_threads = 1;
-  config.sgd.epochs = 2;
-  config.faults.crash_prob = 0.2;
-  config.faults.corrupt_prob = 0.1;
-  config.faults.byzantine_mode = ByzantineMode::kScaledReplacement;
-  config.faults.byzantine_fraction = 0.2;
-  config.aggregator.kind = AggregatorKind::kTrimmedMean;
-  config.faults.chunk_loss_prob = 0.15;
-  config.faults.transport_chunk_mb = 0.01;
-  config.faults.max_transfer_retries = 1;
-  config.faults.duplicate_prob = 0.3;
-  config.faults.replay_prob = 0.3;
-  config.admission.dedup = true;
-  config.admission.reject_replays = true;
-  config.guard.enabled = true;
-  config.topology.num_edges = 2;
-  config.topology.edge_crash_prob = 0.1;
-  config.topology.edge_retry_cooldown_rounds = 2;
-  config.salvage.enabled = true;
+  const RealFlConfig config = RealChaosConfig();
   const std::string path = TempPath("chaos_real_resume.ckpt");
   constexpr size_t kRounds = 10;
 
@@ -294,6 +310,83 @@ TEST(ChaosSoakTest, RealEngineSurvivesTheFullStormWithSalvageArmed) {
   resumed.SaveState(resumed_state);
   EXPECT_EQ(full_state.buffer(), resumed_state.buffer());
   std::remove(path.c_str());
+}
+
+// Stage pins: an FNV-1a digest of each engine's final SaveState bytes plus
+// its per-round accuracy, under the storms above (FloatController attached,
+// so its Q-table updates land in the bytes) and under the same storms with
+// the admission gate off, so admitted duplicates and replays and partials
+// passing a disabled gate are covered too. No benchmark workload runs the
+// ingestion, salvage, topology or guard stages; these pins are what holds
+// them byte-identical across refactors. A deliberate behaviour change
+// re-records the digests and says why.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+template <typename Engine>
+uint64_t StateDigest(const Engine& engine, const std::vector<double>& accuracy_history) {
+  CheckpointWriter w;
+  engine.SaveState(w);
+  w.F64Vec(accuracy_history);
+  return Fnv1a(w.buffer());
+}
+
+uint64_t SyncPin(const ExperimentConfig& config) {
+  RandomSelector selector(config.seed);
+  auto policy = FloatController::MakeDefault(config.seed, config.rounds);
+  SyncEngine engine(config, &selector, policy.get());
+  const ExperimentResult result = engine.Run();
+  return StateDigest(engine, result.accuracy_history);
+}
+
+uint64_t AsyncPin(const ExperimentConfig& config) {
+  auto policy = FloatController::MakeDefault(config.seed, config.rounds);
+  AsyncEngine engine(config, policy.get());
+  const ExperimentResult result = engine.Run();
+  return StateDigest(engine, result.accuracy_history);
+}
+
+uint64_t RealPin(const RealFlConfig& config) {
+  constexpr size_t kRounds = 10;
+  auto policy = FloatController::MakeDefault(config.seed, kRounds);
+  RealFlEngine engine(config);
+  engine.AttachPolicy(policy.get());
+  std::vector<double> accuracy_history;
+  for (size_t r = 0; r < kRounds; ++r) {
+    accuracy_history.push_back(engine.RunRoundWithPolicy().test_accuracy);
+  }
+  return StateDigest(engine, accuracy_history);
+}
+
+template <typename Config>
+Config Ungated(Config config) {
+  config.admission = AdmissionConfig();
+  return config;
+}
+
+void ExpectPin(uint64_t actual, uint64_t expected) {
+  EXPECT_EQ(actual, expected) << "digest 0x" << std::hex << actual;
+}
+
+TEST(StagePinTest, SyncStormDigests) {
+  ExpectPin(SyncPin(SyncChaosConfig()), 0x3866e5b96177b4d0ULL);
+  ExpectPin(SyncPin(Ungated(SyncChaosConfig())), 0xa1ded565d3f3a516ULL);
+}
+
+TEST(StagePinTest, AsyncStormDigests) {
+  ExpectPin(AsyncPin(AsyncChaosConfig()), 0xea4a69d62cc83bd9ULL);
+  ExpectPin(AsyncPin(Ungated(AsyncChaosConfig())), 0xb137bd2ba7353242ULL);
+}
+
+TEST(StagePinTest, RealStormDigests) {
+  ExpectPin(RealPin(RealChaosConfig()), 0xfb7c5038fe7b8eeeULL);
+  ExpectPin(RealPin(Ungated(RealChaosConfig())), 0x850f19d4b3fbd7ebULL);
 }
 
 }  // namespace
