@@ -9,6 +9,12 @@ namespace floatfl {
 std::vector<AdmissionController::Verdict> AdmissionController::Admit(
     uint64_t now_round, const std::vector<Arrival>& arrivals, AdmissionTracker* tracker) {
   std::vector<Verdict> verdicts(arrivals.size());
+  if (!config_.enabled()) {
+    for (Verdict& v : verdicts) {
+      v.admitted = true;
+    }
+    return verdicts;
+  }
   // Forget dedup keys older than the window: an upload from round r is
   // remembered while now_round - r <= dedup_window_rounds; beyond that a
   // re-delivery is the replay gate's problem, not the dedup map's.

@@ -63,7 +63,9 @@ class AdmissionController {
 
   // Gates one ordered ingestion burst arriving at `now_round`. Returns one
   // verdict per arrival, same order. Records per-verdict counters and the
-  // burst's peak queue depth into `tracker` (may be null).
+  // burst's peak queue depth into `tracker` (may be null). A disabled gate
+  // admits every arrival at weight 1 and records nothing, so engines call
+  // this whether or not the layer is on.
   std::vector<Verdict> Admit(uint64_t now_round, const std::vector<Arrival>& arrivals,
                              AdmissionTracker* tracker);
 

@@ -37,6 +37,15 @@ TEST(AdmissionControllerTest, DisabledConfigAdmitsEverything) {
     EXPECT_TRUE(verdict.admitted);
     EXPECT_EQ(verdict.weight, 1.0);
   }
+  // A disabled gate records nothing: engines route every burst through it,
+  // and the admission counters must stay zero while the layer is off.
+  AdmissionTracker tracker;
+  for (const Verdict& verdict : gate.Admit(5, burst, &tracker)) {
+    EXPECT_TRUE(verdict.admitted);
+  }
+  EXPECT_EQ(tracker.Admitted(), 0u);
+  EXPECT_EQ(tracker.TotalRejected(), 0u);
+  EXPECT_EQ(tracker.PeakQueueDepth(), 0u);
 }
 
 TEST(AdmissionControllerTest, DedupFoldsRedeliveriesOfTheSameKey) {
