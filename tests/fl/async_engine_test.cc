@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fl/sync_engine.h"
 #include "src/selection/random_selector.h"
 
 namespace floatfl {
@@ -102,6 +103,65 @@ TEST(AsyncEngineTest, StaleDiscardsCountedAsMissedDeadline) {
   const ExperimentResult r = engine.Run();
   EXPECT_EQ(r.total_selected, r.total_completed + r.total_dropouts);
   EXPECT_EQ(r.dropout_breakdown.Total(), r.total_dropouts);
+}
+
+TEST(AsyncEngineTest, OomPeakMemoryIsWasteOnSyncButZeroOnFedBuff) {
+  // A ResNet-50 batch of 1000 needs about 100 GB: every client runs out of
+  // memory. Sync charges the OOM's peak memory as waste; FedBuff books it as
+  // zero, the one difference the shared client simulation keeps.
+  ExperimentConfig config = SmallAsyncConfig();
+  config.model = ModelId::kResNet50;
+  config.batch_size = 1000;
+
+  RandomSelector selector(config.seed);
+  SyncEngine sync_engine(config, &selector, nullptr);
+  for (size_t round = 0; round < 3; ++round) {
+    sync_engine.RunRound(round);
+  }
+  const ExperimentResult sync_result = sync_engine.Snapshot();
+  EXPECT_GT(sync_result.dropout_breakdown.out_of_memory, 0u);
+  EXPECT_EQ(sync_result.total_completed, 0u);
+  EXPECT_GT(sync_result.wasted.memory_tb, 0.0);
+
+  AsyncEngine async_engine(config, nullptr);
+  for (size_t step = 0; step < 60; ++step) {
+    async_engine.StepOnce();
+  }
+  const ExperimentResult async_result = async_engine.Snapshot();
+  EXPECT_GT(async_result.dropout_breakdown.out_of_memory, 0u);
+  EXPECT_EQ(async_result.dropout_breakdown.out_of_memory, async_result.total_selected);
+  EXPECT_GT(async_result.wasted.comm_hours, 0.0);
+  EXPECT_EQ(async_result.wasted.memory_tb, 0.0);
+}
+
+TEST(AsyncEngineTest, FedBuffNeverMissesADeadlineOrFindsAClientOffline) {
+  // Crashes, blackout windows and a lossy transport. Under a round deadline
+  // they yield missed deadlines and unreachable clients; FedBuff's budget is
+  // unbounded and its launcher skips blackouts and offline clients, so the
+  // shared simulation never returns either reason to it. Stale discards,
+  // the async engine's own source of kMissedDeadline, are switched off.
+  ExperimentConfig config = SmallAsyncConfig();
+  config.faults.crash_prob = 0.2;
+  config.faults.blackout_period_s = 20000.0;
+  config.faults.blackout_duration_s = 4000.0;
+  config.faults.chunk_loss_prob = 0.1;
+  config.faults.max_transfer_retries = 2;
+  config.admission.async_max_staleness = 1e9;
+
+  RandomSelector selector(config.seed);
+  SyncEngine sync_engine(config, &selector, nullptr);
+  const ExperimentResult sync_result = sync_engine.Run();
+  EXPECT_GT(sync_result.dropout_breakdown.missed_deadline, 0u);
+  EXPECT_GT(sync_result.dropout_breakdown.unavailable, 0u);
+
+  AsyncEngine async_engine(config, nullptr);
+  const ExperimentResult async_result = async_engine.Run();
+  EXPECT_GT(async_result.dropout_breakdown.crashed, 0u);
+  EXPECT_GT(async_result.dropout_breakdown.transfer_timed_out +
+                async_result.dropout_breakdown.departed,
+            0u);
+  EXPECT_EQ(async_result.dropout_breakdown.missed_deadline, 0u);
+  EXPECT_EQ(async_result.dropout_breakdown.unavailable, 0u);
 }
 
 }  // namespace
