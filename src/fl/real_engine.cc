@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/data/dirichlet.h"
@@ -90,6 +91,9 @@ RealFlEngine::RealFlEngine(const RealFlConfig& config)
   FLOATFL_CHECK(config.num_clients > 0);
   FLOATFL_CHECK(config.clients_per_round > 0);
   FLOATFL_CHECK(config.num_classes >= 2);
+  // An empty test set scores every round NaN, which the guard never judges
+  // healthy, so it could never roll back.
+  FLOATFL_CHECK_MSG(config.test_samples_per_class > 0, "test_samples_per_class must be positive");
   ValidateGuardConfig(config_.guard);
   guard_ = TrainingGuard(config_.guard);
   ValidateTopologyConfig(config_.topology);
@@ -245,8 +249,11 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     tree_.BeginRound(round, edge_decisions);
   }
   // Round-start test accuracy, the baseline for the policy's accuracy
-  // credit. Only evaluated when someone consumes the credit.
-  const double accuracy_before = report ? EvaluateAccuracy() : 0.0;
+  // credit. Only needed when someone consumes the credit. The global model
+  // is the one the previous round ended with, so that round's accuracy is
+  // reused when this engine ran it.
+  const std::optional<double> carried = std::exchange(round_end_accuracy_, std::nullopt);
+  const double accuracy_before = !report ? 0.0 : carried ? *carried : EvaluateAccuracy();
 
   // Phase 1 (sequential): technique choices — the callback may be stateful —
   // and fault draws (each from its own (round, client)-keyed stream). The
@@ -780,8 +787,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   stats.participants = original_accepted;
   stats.mean_upload_bytes = original_accepted == 0 ? 0.0 : total_bytes / original_accepted;
   stats.mean_update_error = original_accepted == 0 ? 0.0 : total_error / original_accepted;
-  stats.test_accuracy = EvaluateAccuracy();
-  stats.test_loss = EvaluateLoss();
+  Mlp::Evaluation eval = EvaluateTestSet();
+  stats.test_accuracy = eval.accuracy;
+  stats.test_loss = eval.loss;
 
   // Policy feedback: every selected client reports, dropouts included, with
   // the round's test-accuracy delta scaled by its technique's quality.
@@ -827,10 +835,12 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         });
     if (rolled_back) {
       stats.rolled_back = true;
-      stats.test_accuracy = EvaluateAccuracy();
-      stats.test_loss = EvaluateLoss();
+      eval = EvaluateTestSet();
+      stats.test_accuracy = eval.accuracy;
+      stats.test_loss = eval.loss;
     }
   }
+  round_end_accuracy_ = stats.test_accuracy;
   return stats;
 }
 
@@ -855,11 +865,11 @@ RealRoundStats RealFlEngine::RunRoundWithPolicy() {
       });
 }
 
-double RealFlEngine::EvaluateAccuracy() {
-  return global_->EvaluateAccuracy(test_inputs_, test_labels_);
+Mlp::Evaluation RealFlEngine::EvaluateTestSet() const {
+  return global_->Evaluate(test_inputs_, test_labels_, pool_.get());
 }
 
-double RealFlEngine::EvaluateLoss() { return global_->EvaluateLoss(test_inputs_, test_labels_); }
+double RealFlEngine::EvaluateAccuracy() const { return EvaluateTestSet().accuracy; }
 
 void RealFlEngine::SaveState(CheckpointWriter& w) const {
   w.Size(rounds_run_);
@@ -889,6 +899,7 @@ void RealFlEngine::SaveState(CheckpointWriter& w) const {
 }
 
 void RealFlEngine::LoadState(CheckpointReader& r) {
+  round_end_accuracy_.reset();
   rounds_run_ = r.Size();
   LoadRng(r, rng_);
   LoadRng(r, client_stream_root_);

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/admission/admission_config.h"
@@ -176,8 +177,8 @@ class RealFlEngine {
   void AttachPolicy(TuningPolicy* policy) { policy_ = policy; }
   RealRoundStats RunRoundWithPolicy();
 
-  double EvaluateAccuracy();
-  double EvaluateLoss();
+  // Test accuracy of the global model.
+  double EvaluateAccuracy() const;
 
   size_t NumClients() const { return shards_.size(); }
   const Mlp& global_model() const { return *global_; }
@@ -217,6 +218,10 @@ class RealFlEngine {
   ProcessedUpdate ProcessUpload(std::vector<float> params, TechniqueKind technique) const;
 
   size_t FrozenLayersFor(TechniqueKind technique) const;
+
+  // Test accuracy and loss of the global model, from one pass over the test
+  // set on the engine's pool.
+  Mlp::Evaluation EvaluateTestSet() const;
 
   // Shared round body. `report` (may be empty) receives per-client feedback
   // after aggregation: (client_id, technique, participated, accuracy_credit).
@@ -268,6 +273,11 @@ class RealFlEngine {
   Tensor test_inputs_;
   std::vector<int> test_labels_;
   std::vector<size_t> model_dims_;
+  // Test accuracy the last round ended with, after any rollback: the next
+  // policy round's round-start accuracy. Derived from the global model, so
+  // it is not checkpointed; LoadState clears it and the next round
+  // recomputes it.
+  std::optional<double> round_end_accuracy_;
 };
 
 }  // namespace floatfl

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/data/synthetic.h"
@@ -256,7 +257,8 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
           grad_p.At(r, c) = grad_concat.At(r, p * embed + c);
         }
       }
-      bottoms_[p].Backward(grad_p);
+      // The party's raw features have no gradient anyone reads.
+      bottoms_[p].AccumulateGradients(std::move(grad_p));
       bottoms_[p].Step(config_.learning_rate, /*frozen=*/false);
     }
   }

@@ -8,6 +8,26 @@
 
 namespace floatfl {
 
+namespace {
+
+void ApplyRelu(Tensor& t) {
+  for (auto& x : t.flat()) {
+    x = std::max(x, 0.0f);
+  }
+}
+
+// param -= lr * grad, element by element.
+void SgdUpdate(Tensor& param, const Tensor& grad, float lr) {
+  FLOATFL_CHECK(param.SameShape(grad));
+  float* p = param.data();
+  const float* g = grad.data();
+  for (size_t i = 0; i < param.size(); ++i) {
+    p[i] -= g[i] * lr;
+  }
+}
+
+}  // namespace
+
 DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng)
     : weights_(Tensor::GlorotUniform(in_dim, out_dim, rng)),
       bias_(1, out_dim),
@@ -15,22 +35,32 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, bool relu, Rng& rng)
       grad_b_(1, out_dim),
       relu_(relu) {}
 
-Tensor DenseLayer::Forward(const Tensor& input) {
+Tensor DenseLayer::PreActivation(const Tensor& input) const {
   FLOATFL_CHECK(input.cols() == weights_.rows());
-  last_input_ = input;
   Tensor out = input.MatMul(weights_);
   out.AddRowBroadcast(bias_);
+  return out;
+}
+
+Tensor DenseLayer::Forward(const Tensor& input) {
+  last_input_ = input;
+  Tensor out = PreActivation(input);
   last_pre_activation_ = out;
   if (relu_) {
-    for (auto& x : out.flat()) {
-      x = std::max(x, 0.0f);
-    }
+    ApplyRelu(out);
   }
   return out;
 }
 
-Tensor DenseLayer::Backward(const Tensor& grad_output) {
-  Tensor grad = grad_output;
+Tensor DenseLayer::Infer(const Tensor& input) const {
+  Tensor out = PreActivation(input);
+  if (relu_) {
+    ApplyRelu(out);
+  }
+  return out;
+}
+
+void DenseLayer::MaskAndAccumulate(Tensor& grad) {
   if (relu_) {
     FLOATFL_CHECK(grad.SameShape(last_pre_activation_));
     for (size_t i = 0; i < grad.flat().size(); ++i) {
@@ -39,46 +69,63 @@ Tensor DenseLayer::Backward(const Tensor& grad_output) {
       }
     }
   }
-  grad_w_.AddInPlace(last_input_.TransposedMatMul(grad));
+  grad_w_.AddTransposedMatMul(last_input_, grad);
   grad_b_.AddInPlace(grad.ColSum());
-  return grad.MatMulTransposed(weights_);
 }
+
+Tensor DenseLayer::Backward(Tensor grad_output) {
+  MaskAndAccumulate(grad_output);
+  return grad_output.MatMulTransposed(weights_);
+}
+
+void DenseLayer::AccumulateGradients(Tensor grad_output) { MaskAndAccumulate(grad_output); }
 
 void DenseLayer::Step(float lr, bool frozen) {
   if (!frozen) {
-    Tensor dw = grad_w_;
-    dw.ScaleInPlace(lr);
-    weights_.SubInPlace(dw);
-    Tensor db = grad_b_;
-    db.ScaleInPlace(lr);
-    bias_.SubInPlace(db);
+    SgdUpdate(weights_, grad_w_, lr);
+    SgdUpdate(bias_, grad_b_, lr);
   }
-  grad_w_ = Tensor(grad_w_.rows(), grad_w_.cols());
-  grad_b_ = Tensor(grad_b_.rows(), grad_b_.cols());
+  std::fill(grad_w_.flat().begin(), grad_w_.flat().end(), 0.0f);
+  std::fill(grad_b_.flat().begin(), grad_b_.flat().end(), 0.0f);
+}
+
+double SoftmaxXent::RowLoss(const float* logits, size_t cols, int label, float* probs) {
+  FLOATFL_CHECK(cols > 0);
+  float maxv = logits[0];
+  for (size_t j = 1; j < cols; ++j) {
+    maxv = std::max(maxv, logits[j]);
+  }
+  double sum = 0.0;
+  for (size_t j = 0; j < cols; ++j) {
+    const double e = std::exp(static_cast<double>(logits[j] - maxv));
+    probs[j] = static_cast<float>(e);
+    sum += e;
+  }
+  for (size_t j = 0; j < cols; ++j) {
+    probs[j] = static_cast<float>(probs[j] / sum);
+  }
+  FLOATFL_CHECK(label >= 0 && static_cast<size_t>(label) < cols);
+  return -std::log(std::max(1e-12, static_cast<double>(probs[label])));
+}
+
+size_t SoftmaxXent::ArgMax(const float* logits, size_t cols) {
+  size_t best = 0;
+  for (size_t j = 1; j < cols; ++j) {
+    if (logits[j] > logits[best]) {
+      best = j;
+    }
+  }
+  return best;
 }
 
 double SoftmaxXent::Loss(const Tensor& logits, const std::vector<int>& labels, Tensor* probs) {
   FLOATFL_CHECK(logits.rows() == labels.size());
   FLOATFL_CHECK(probs != nullptr);
   *probs = logits;
+  const size_t cols = logits.cols();
   double total = 0.0;
   for (size_t i = 0; i < logits.rows(); ++i) {
-    float maxv = logits.At(i, 0);
-    for (size_t j = 1; j < logits.cols(); ++j) {
-      maxv = std::max(maxv, logits.At(i, j));
-    }
-    double sum = 0.0;
-    for (size_t j = 0; j < logits.cols(); ++j) {
-      const double e = std::exp(static_cast<double>(logits.At(i, j) - maxv));
-      probs->At(i, j) = static_cast<float>(e);
-      sum += e;
-    }
-    for (size_t j = 0; j < logits.cols(); ++j) {
-      probs->At(i, j) = static_cast<float>(probs->At(i, j) / sum);
-    }
-    const int y = labels[i];
-    FLOATFL_CHECK(y >= 0 && static_cast<size_t>(y) < logits.cols());
-    total += -std::log(std::max(1e-12, static_cast<double>(probs->At(i, y))));
+    total += RowLoss(logits.data() + i * cols, cols, labels[i], probs->data() + i * cols);
   }
   return total / static_cast<double>(logits.rows());
 }
@@ -101,13 +148,7 @@ double SoftmaxXent::Accuracy(const Tensor& logits, const std::vector<int>& label
   }
   size_t correct = 0;
   for (size_t i = 0; i < logits.rows(); ++i) {
-    size_t best = 0;
-    for (size_t j = 1; j < logits.cols(); ++j) {
-      if (logits.At(i, j) > logits.At(i, best)) {
-        best = j;
-      }
-    }
-    if (static_cast<int>(best) == labels[i]) {
+    if (static_cast<int>(ArgMax(logits.data() + i * logits.cols(), logits.cols())) == labels[i]) {
       ++correct;
     }
   }

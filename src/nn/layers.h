@@ -23,9 +23,16 @@ class DenseLayer {
   // input and pre-activation needed for Backward.
   Tensor Forward(const Tensor& input);
 
+  // The same output as Forward, caching nothing: safe to call concurrently.
+  Tensor Infer(const Tensor& input) const;
+
   // Backward pass: takes dL/dy, accumulates weight/bias gradients and returns
   // dL/dx. Must be called after Forward on the same batch.
-  Tensor Backward(const Tensor& grad_output);
+  Tensor Backward(Tensor grad_output);
+
+  // Backward without dL/dx, for the lowest layer being trained: nothing
+  // reads its input gradient.
+  void AccumulateGradients(Tensor grad_output);
 
   // Applies an SGD step with the given learning rate and clears gradients.
   // If `frozen` is true the parameters are left untouched (partial training).
@@ -39,6 +46,12 @@ class DenseLayer {
   bool relu() const { return relu_; }
 
  private:
+  // input * W + b, before the activation.
+  Tensor PreActivation(const Tensor& input) const;
+  // Applies the ReLU mask to dL/dy in place and adds this batch's
+  // contribution into the weight and bias gradients.
+  void MaskAndAccumulate(Tensor& grad);
+
   Tensor weights_;  // in_dim x out_dim
   Tensor bias_;     // 1 x out_dim
   Tensor grad_w_;
@@ -58,6 +71,12 @@ struct SoftmaxXent {
   static Tensor Gradient(const Tensor& probs, const std::vector<int>& labels);
   // Fraction of argmax predictions matching labels.
   static double Accuracy(const Tensor& logits, const std::vector<int>& labels);
+
+  // One row of the above: Loss sums RowLoss in row order, and Accuracy
+  // counts the rows whose ArgMax is the label (the first maximum wins).
+  // `probs` receives the row's softmax.
+  static double RowLoss(const float* logits, size_t cols, int label, float* probs);
+  static size_t ArgMax(const float* logits, size_t cols);
 };
 
 }  // namespace floatfl

@@ -16,6 +16,7 @@
 namespace floatfl {
 
 class Rng;
+class ThreadPool;
 
 class Mlp {
  public:
@@ -24,15 +25,30 @@ class Mlp {
   Mlp(const std::vector<size_t>& dims, Rng& rng);
 
   Tensor Forward(const Tensor& input);
+  // Forward's output without caching anything: safe to call concurrently.
+  Tensor Infer(const Tensor& input) const;
 
   // One SGD step over a batch. `frozen_layers` freezes the *first* k layers
   // (partial training trains only the top of the network, matching partial
-  // training schemes that update a fraction of the model). Returns mean loss.
+  // training schemes that update a fraction of the model). Backpropagation
+  // stops at the lowest trained layer, so frozen layers cost only their
+  // forward pass. Returns mean loss.
   double TrainBatch(const Tensor& input, const std::vector<int>& labels, float lr,
                     size_t frozen_layers = 0);
 
-  double EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels);
-  double EvaluateLoss(const Tensor& input, const std::vector<int>& labels);
+  struct Evaluation {
+    double accuracy = 0.0;
+    double loss = 0.0;
+  };
+  // Accuracy and mean loss from one inference pass, bit-identical to
+  // SoftmaxXent::Accuracy and SoftmaxXent::Loss on Forward(input). Fixed
+  // blocks of rows fan out over `pool` (null: inline), and the correct count
+  // and the loss sum are reduced in row order, so the result does not depend
+  // on the pool.
+  Evaluation Evaluate(const Tensor& input, const std::vector<int>& labels,
+                      ThreadPool* pool = nullptr) const;
+  double EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) const;
+  double EvaluateLoss(const Tensor& input, const std::vector<int>& labels) const;
 
   size_t NumLayers() const { return layers_.size(); }
   size_t ParamCount() const;

@@ -41,6 +41,9 @@ class Tensor {
   Tensor MatMulTransposed(const Tensor& other) const;
   // out = this^T * other.
   Tensor TransposedMatMul(const Tensor& other) const;
+  // this += a^T * b, adding each product straight into this in row order of
+  // a and b. Into a zero tensor it gives TransposedMatMul's bits.
+  void AddTransposedMatMul(const Tensor& a, const Tensor& b);
 
   // Element-wise, in place. Shapes must match exactly (AddRowBroadcast
   // broadcasts a 1 x cols row over all rows).

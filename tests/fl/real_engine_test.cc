@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/core/float_controller.h"
+#include "src/failure/checkpoint_io.h"
+
 namespace floatfl {
 namespace {
 
@@ -110,6 +119,43 @@ TEST(RealEngineTest, NonIidTrainingStillConverges) {
     stats = engine.RunRound(TechniqueKind::kNone);
   }
   EXPECT_GT(stats.test_accuracy, 0.5);
+}
+
+// 7 classes x 13 samples = 91 test rows, not a multiple of the evaluation
+// block. FLOAT is attached, so every round also reads its round-start
+// accuracy. Accuracy, loss and the final state must not depend on the
+// thread count.
+TEST(RealEngineTest, TestSetEvaluationIsThreadInvariant) {
+  auto run = [](size_t threads) {
+    RealFlConfig config = FastConfig(23);
+    config.num_classes = 7;
+    config.test_samples_per_class = 13;
+    config.num_threads = threads;
+    const auto policy = FloatController::MakeDefault(config.seed, 6);
+    RealFlEngine engine(config);
+    engine.AttachPolicy(policy.get());
+    std::vector<uint64_t> bits = {std::bit_cast<uint64_t>(engine.EvaluateAccuracy())};
+    for (int round = 0; round < 6; ++round) {
+      const RealRoundStats stats = engine.RunRoundWithPolicy();
+      bits.push_back(std::bit_cast<uint64_t>(stats.test_accuracy));
+      bits.push_back(std::bit_cast<uint64_t>(stats.test_loss));
+    }
+    bits.push_back(std::bit_cast<uint64_t>(engine.EvaluateAccuracy()));
+    CheckpointWriter w;
+    engine.SaveState(w);
+    return std::make_pair(bits, w.buffer());
+  };
+  const auto sequential = run(1);
+  EXPECT_EQ(run(2), sequential);
+  EXPECT_EQ(run(8), sequential);
+}
+
+// An empty test set would score every round NaN, and the guard never judges
+// a NaN round healthy.
+TEST(RealEngineDeathTest, EmptyTestSetRefused) {
+  RealFlConfig config = FastConfig();
+  config.test_samples_per_class = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "test_samples_per_class must be positive");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/core/float_controller.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/fl/async_engine.h"
 #include "src/fl/real_engine.h"
@@ -140,6 +141,61 @@ TEST(RoundStateTest, RealEngineResumesAtEveryRound) {
       [](RealFlEngine& engine, size_t k) {
         engine.RunRound(k % 2 == 0 ? TechniqueKind::kNone : TechniqueKind::kQuant8);
       });
+}
+
+// The real engine with FLOAT attached. A policy round starts from the test
+// accuracy the previous round ended with; that value is derived from the
+// global model and not checkpointed, so a restored engine recomputes it.
+struct RealPolicyRun {
+  explicit RealPolicyRun(const RealFlConfig& config)
+      : policy(FloatController::MakeDefault(config.seed, 8)), engine(config) {
+    engine.AttachPolicy(policy.get());
+  }
+  void SaveState(CheckpointWriter& w) const { engine.SaveState(w); }
+  void LoadState(CheckpointReader& r) { engine.LoadState(r); }
+  std::unique_ptr<FloatController> policy;
+  RealFlEngine engine;
+};
+
+RealFlConfig RealPolicyConfig() {
+  RealFlConfig config;
+  config.num_clients = 12;
+  config.clients_per_round = 4;
+  config.num_threads = 1;
+  config.seed = 42;
+  config.faults.crash_prob = 0.1;
+  return config;
+}
+
+TEST(RoundStateTest, RealEngineWithPolicyResumesAtEveryRound) {
+  ExpectResumeAtEveryBoundary(
+      5, [](size_t) { return std::make_unique<RealPolicyRun>(RealPolicyConfig()); },
+      [](RealPolicyRun& run, size_t) { run.engine.RunRoundWithPolicy(); });
+}
+
+// An engine that loads one of its own older checkpoints must not start the
+// next round from the accuracy its last round ended with: that belonged to
+// another model.
+TEST(RoundStateTest, RealEngineRewindMatchesFreshRestore) {
+  RealPolicyRun run(RealPolicyConfig());
+  std::string after_round3;
+  for (size_t k = 0; k < 6; ++k) {
+    run.engine.RunRoundWithPolicy();
+    if (k == 2) {
+      after_round3 = StateOf(run);
+    }
+  }
+  CheckpointReader rewind(after_round3);
+  run.LoadState(rewind);
+  ASSERT_TRUE(rewind.ok());
+  run.engine.RunRoundWithPolicy();
+
+  RealPolicyRun fresh(RealPolicyConfig());
+  CheckpointReader restore(after_round3);
+  fresh.LoadState(restore);
+  ASSERT_TRUE(restore.ok());
+  fresh.engine.RunRoundWithPolicy();
+  EXPECT_EQ(StateOf(run), StateOf(fresh));
 }
 
 TEST(RoundStateTest, VflEngineResumesAtEveryEpoch) {

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "src/agg/aggregator.h"
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/nn/optimizer.h"
+#include "src/sim/thread_pool.h"
 
 namespace floatfl {
 namespace {
@@ -168,6 +172,89 @@ TEST(SgdTest, LossDecreasesOverEpochs) {
   config.epochs = 10;
   TrainSgd(net, x, y, config, rng);
   EXPECT_LT(net.EvaluateLoss(x, y), initial_loss);
+}
+
+Tensor NormalTensor(size_t rows, size_t cols, Rng& rng) {
+  Tensor t(rows, cols);
+  for (auto& x : t.flat()) {
+    x = static_cast<float>(rng.Normal());
+  }
+  return t;
+}
+
+std::vector<int> RandomLabels(size_t n, size_t classes, Rng& rng) {
+  std::vector<int> labels(n);
+  for (auto& y : labels) {
+    y = static_cast<int>(rng.UniformInt(classes));
+  }
+  return labels;
+}
+
+// TrainBatch backpropagates only down to the lowest trained layer. The
+// reference backpropagates through every layer, input gradients included,
+// and steps every layer with its frozen flag. Loss and parameters must match
+// byte for byte at every freeze depth, over several steps.
+TEST(MlpTest, TrainBatchStopsAtLowestTrainedLayerBitForBit) {
+  const std::vector<size_t> dims = {12, 24, 16, 8, 5};
+  const size_t layers = dims.size() - 1;
+  Rng rng(47);
+  const std::vector<float> init = Mlp(dims, rng).GetParameters();
+  for (size_t frozen = 0; frozen <= layers; ++frozen) {
+    Mlp net(dims, rng);
+    net.SetParameters(init);
+    Mlp reference(dims, rng);
+    reference.SetParameters(init);
+    for (int step = 0; step < 3; ++step) {
+      const Tensor x = NormalTensor(20, dims.front(), rng);
+      const std::vector<int> labels = RandomLabels(20, dims.back(), rng);
+      const double loss = net.TrainBatch(x, labels, 0.1f, frozen);
+
+      Tensor probs;
+      const double reference_loss = SoftmaxXent::Loss(reference.Forward(x), labels, &probs);
+      Tensor grad = SoftmaxXent::Gradient(probs, labels);
+      for (size_t i = layers; i-- > 0;) {
+        grad = reference.layer(i).Backward(grad);
+      }
+      for (size_t i = 0; i < layers; ++i) {
+        reference.layer(i).Step(0.1f, /*frozen=*/i < frozen);
+      }
+
+      EXPECT_EQ(std::bit_cast<uint64_t>(loss), std::bit_cast<uint64_t>(reference_loss))
+          << "frozen " << frozen << " step " << step;
+      const std::vector<float> got = net.GetParameters();
+      const std::vector<float> want = reference.GetParameters();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "frozen " << frozen << " step " << step;
+    }
+  }
+}
+
+// The fused pass against SoftmaxXent on Forward, inline and on a pool, for
+// row counts on both sides of the block size. Zero input rows give tied
+// logits, where the first maximum must win.
+TEST(MlpTest, EvaluateMatchesAccuracyAndLossOnForwardBitForBit) {
+  Rng rng(53);
+  Mlp net({9, 17, 6}, rng);
+  ThreadPool pool(3);
+  for (size_t rows : {1, 63, 64, 65, 200}) {
+    Tensor x = NormalTensor(rows, 9, rng);
+    for (size_t j = 0; j < 9; ++j) {
+      x.At(rows / 2, j) = 0.0f;
+    }
+    const std::vector<int> labels = RandomLabels(rows, 6, rng);
+    const Tensor logits = net.Forward(x);
+    Tensor probs;
+    const double loss = SoftmaxXent::Loss(logits, labels, &probs);
+    const double accuracy = SoftmaxXent::Accuracy(logits, labels);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const Mlp::Evaluation eval = net.Evaluate(x, labels, p);
+      EXPECT_EQ(std::bit_cast<uint64_t>(eval.accuracy), std::bit_cast<uint64_t>(accuracy))
+          << rows << " rows";
+      EXPECT_EQ(std::bit_cast<uint64_t>(eval.loss), std::bit_cast<uint64_t>(loss))
+          << rows << " rows";
+    }
+  }
 }
 
 }  // namespace

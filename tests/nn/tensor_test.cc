@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/common/rng.h"
 
@@ -130,6 +133,85 @@ TEST(TensorTest, GlorotUniformWithinLimit) {
   }
   // Not all zero.
   EXPECT_GT(t.L2Norm(), 0.0);
+}
+
+// The dot product MatMulTransposed used to compute: out(i, j) summed in k
+// order from 0.0f, no zero skipped.
+Tensor DotProductOracle(const Tensor& a, const Tensor& b) {
+  Tensor out(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      float acc = 0.0f;
+      for (size_t k = 0; k < a.cols(); ++k) {
+        acc += a.At(i, k) * b.At(j, k);
+      }
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Random values with signed zeros and subnormals mixed in, plus infinities
+// and NaNs in every fifth row (row 2, 7, ...), so that the other rows'
+// products stay finite and are compared as finite sums.
+Tensor SpecialValueTensor(size_t rows, size_t cols, Rng& rng) {
+  // The NaN the hardware itself produces (Inf * 0), so every NaN in play has
+  // one bit pattern and the operand order of a NaN + NaN cannot matter.
+  volatile float zero = 0.0f;
+  const float nan = std::numeric_limits<float>::infinity() * zero;
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            nan};
+  Tensor t(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    const size_t kinds = r % 5 == 2 ? 7 : 4;
+    for (size_t c = 0; c < cols; ++c) {
+      t.At(r, c) = rng.NextDouble() < 0.1 ? specials[rng.UniformInt(kinds)]
+                                          : static_cast<float>(rng.Normal());
+    }
+  }
+  return t;
+}
+
+TEST(TensorTest, MatMulTransposedMatchesDotProductOracleBitForBit) {
+  // {batch, depth, outputs}: a is batch x depth, b is outputs x depth.
+  const size_t shapes[][3] = {{1, 1, 1}, {20, 10, 128}, {20, 256, 64}, {33, 257, 17}};
+  Rng rng(41);
+  size_t finite = 0;
+  size_t nonfinite = 0;
+  for (const auto& shape : shapes) {
+    const Tensor a = SpecialValueTensor(shape[0], shape[1], rng);
+    const Tensor b = SpecialValueTensor(shape[2], shape[1], rng);
+    const Tensor got = a.MatMulTransposed(b);
+    const Tensor want = DotProductOracle(a, b);
+    ASSERT_TRUE(got.SameShape(want));
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << shape[0] << "x" << shape[1] << " -> " << shape[2];
+    for (float x : want.flat()) {
+      ++(std::isfinite(x) ? finite : nonfinite);
+    }
+  }
+  // Both kinds of output were compared.
+  EXPECT_GT(finite, 1000u);
+  EXPECT_GT(nonfinite, 100u);
+}
+
+// DenseLayer::Backward accumulates its weight gradient in place into the
+// cleared gradient. That must give the bits of adding a fresh product to
+// it, signed zeros and non-finite values included.
+TEST(TensorTest, AddTransposedMatMulIntoZerosMatchesAddingTheProduct) {
+  Rng rng(43);
+  const Tensor a = SpecialValueTensor(20, 64, rng);
+  const Tensor b = SpecialValueTensor(20, 33, rng);
+  Tensor added(64, 33);
+  added.AddInPlace(a.TransposedMatMul(b));
+  Tensor accumulated(64, 33);
+  accumulated.AddTransposedMatMul(a, b);
+  EXPECT_EQ(std::memcmp(accumulated.data(), added.data(), added.size() * sizeof(float)), 0);
 }
 
 }  // namespace
