@@ -171,6 +171,12 @@ struct FaultConfig {
   }
 };
 
+// Aborts the process with a descriptive message when `config` violates a
+// fault-layer invariant. Called from ValidateExperimentConfig, the server
+// core every horizontal engine derives from, and the VFL engine, so a
+// misconfiguration fails at construction in every engine.
+void ValidateFaultConfig(const FaultConfig& config);
+
 }  // namespace floatfl
 
 #endif  // SRC_FAILURE_FAULT_CONFIG_H_

@@ -34,8 +34,6 @@ class AsyncEngine : public SurrogateEngine {
   // earliest finisher (or just advance time when nobody is in flight).
   void StepOnce();
 
-  ExperimentResult Snapshot() const;
-
   size_t Version() const { return version_; }
 
   // Checkpoint/resume of all mutable engine state (DESIGN.md §8).

@@ -17,38 +17,12 @@ void ValidateExperimentConfig(const ExperimentConfig& config) {
   FLOATFL_CHECK_MSG(config.async_buffer > 0, "async_buffer must be positive");
   FLOATFL_CHECK_MSG(config.async_buffer <= config.async_concurrency,
                     "async_buffer cannot exceed async_concurrency");
-  FLOATFL_CHECK_MSG(config.faults.overcommit >= 1.0, "faults.overcommit must be >= 1.0");
-  FLOATFL_CHECK_MSG(config.faults.reject_norm_threshold > 0.0,
-                    "faults.reject_norm_threshold must be positive");
-  FLOATFL_CHECK_MSG(
-      config.faults.byzantine_fraction >= 0.0 && config.faults.byzantine_fraction <= 1.0,
-      "faults.byzantine_fraction must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.faults.byzantine_scale >= 0.0,
-                    "faults.byzantine_scale must be non-negative");
-  FLOATFL_CHECK_MSG(
-      config.faults.chunk_loss_prob >= 0.0 && config.faults.chunk_loss_prob < 1.0,
-      "faults.chunk_loss_prob must be in [0, 1)");
-  FLOATFL_CHECK_MSG(
-      config.faults.link_blackout_prob >= 0.0 && config.faults.link_blackout_prob < 1.0,
-      "faults.link_blackout_prob must be in [0, 1)");
-  FLOATFL_CHECK_MSG(config.faults.transport_chunk_mb > 0.0,
-                    "faults.transport_chunk_mb must be positive");
+  ValidateFaultConfig(config.faults);
   FLOATFL_CHECK_MSG(config.adaptive_deadline.min_factor > 0.0 &&
                         config.adaptive_deadline.min_factor <= config.adaptive_deadline.max_factor,
                     "adaptive_deadline factors must satisfy 0 < min_factor <= max_factor");
   FLOATFL_CHECK_MSG(config.adaptive_deadline.headroom > 0.0,
                     "adaptive_deadline.headroom must be positive");
-  FLOATFL_CHECK_MSG(
-      config.faults.duplicate_prob >= 0.0 && config.faults.duplicate_prob <= 1.0,
-      "faults.duplicate_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.faults.replay_prob >= 0.0 && config.faults.replay_prob <= 1.0,
-                    "faults.replay_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.faults.reorder_prob >= 0.0 && config.faults.reorder_prob <= 1.0,
-                    "faults.reorder_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.faults.stampede_prob >= 0.0 && config.faults.stampede_prob <= 1.0,
-                    "faults.stampede_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.faults.stampede_prob == 0.0 || config.faults.stampede_factor > 0,
-                    "faults.stampede_factor must be positive when stampedes can fire");
   ValidateAggregatorConfig(config.aggregator);
   ValidateGuardConfig(config.guard);
   ValidateTopologyConfig(config.topology);

@@ -82,10 +82,11 @@ bool ValidRealUpdate(const std::vector<float>& params, double norm_threshold) {
 }  // namespace
 
 RealFlEngine::RealFlEngine(const RealFlConfig& config)
-    : config_(config),
-      injector_(config.faults, config.seed, config.num_clients),
+    : ServerCore(config.seed, config.num_clients, config.num_threads, config.faults, config.guard,
+                 config.topology, config.admission, config.salvage, nullptr),
+      config_(config),
       aggregator_(MakeAggregator(config.aggregator)),
-      transport_(config.faults, config.seed),
+      edge_aggregator_(MakeAggregator(config.topology.edge_aggregator)),
       rng_(config.seed),
       client_stream_root_(config.seed ^ 0x7C159E3779B97F4AULL) {
   FLOATFL_CHECK(config.num_clients > 0);
@@ -94,27 +95,10 @@ RealFlEngine::RealFlEngine(const RealFlConfig& config)
   // An empty test set scores every round NaN, which the guard never judges
   // healthy, so it could never roll back.
   FLOATFL_CHECK_MSG(config.test_samples_per_class > 0, "test_samples_per_class must be positive");
-  ValidateGuardConfig(config_.guard);
-  guard_ = TrainingGuard(config_.guard);
-  ValidateTopologyConfig(config_.topology);
-  edge_injector_ = EdgeFaultInjector(config_.topology, config_.seed, config_.topology.num_edges);
-  tree_ = AggregationTree(config_.topology, config_.num_clients);
-  edge_transport_ = Transport(config_.topology.LinkFaultConfig(),
-                              config_.seed ^ TopologyConfig::kEdgeLinkSeedSalt);
-  edge_aggregator_ = MakeAggregator(config_.topology.edge_aggregator);
-  ValidateAdmissionConfig(config_.admission);
-  overload_ = OverloadInjector(config_.faults, config_.seed);
-  admission_ = AdmissionController(config_.admission);
-  ValidateSalvageConfig(config_.salvage);
   // No wall clock means no deadline race a backup could win; refuse rather
   // than silently ignore, like the async engine.
   FLOATFL_CHECK_MSG(!config_.salvage.speculation,
                     "real engine does not support speculative re-execution");
-  update_log_ = UpdateLog(config_.num_clients);
-  const size_t threads = ResolveThreadCount(config.num_threads);
-  if (threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
 
   task_ = std::make_unique<SyntheticTaskData>(config.num_classes, config.input_dim,
                                               config.class_separation, rng_);
@@ -229,25 +213,8 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   const std::vector<size_t> order = rng_.Permutation(shards_.size());
   const size_t k = std::min(config_.clients_per_round, shards_.size());
   const size_t round = rounds_run_++;
-  injector_.BeginRound(round);
-  guard_.BeginRound(round);
-  // Hierarchical topology (DESIGN.md §13): draw this round's edge fault
-  // decisions and refresh the failover assignment before tasking anyone.
+  const std::vector<EdgeFaultDecision> edge_decisions = BeginRound(round);
   const bool tree_on = tree_.enabled();
-  std::vector<EdgeFaultDecision> edge_decisions;
-  if (tree_on) {
-    edge_injector_.BeginRound(round);
-    edge_decisions.assign(tree_.num_edges(), EdgeFaultDecision());
-    for (size_t edge = 0; edge < edge_decisions.size(); ++edge) {
-      edge_decisions[edge] = edge_injector_.Decide(round, edge);
-      if (edge_decisions[edge].crash) {
-        topo_tracker_.RecordEdgeCrash();
-      } else if (edge_decisions[edge].blackout) {
-        topo_tracker_.RecordEdgeBlackout();
-      }
-    }
-    tree_.BeginRound(round, edge_decisions);
-  }
   // Round-start test accuracy, the baseline for the policy's accuracy
   // credit. Only needed when someone consumes the credit. The global model
   // is the one the previous round ended with, so that round's accuracy is
@@ -367,20 +334,51 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   std::vector<uint8_t> participated(k, 0);
   std::vector<DropoutReason> reasons(k, DropoutReason::kNone);
   std::vector<size_t> update_edges;  // effective edge per accepted update
-  const bool ingest_on = overload_.enabled() || admission_.enabled();
+  const bool ingest_on = IngestionOn();
   std::vector<size_t> passing;  // selection indices that reached the server door
   // Validated partial updates from interrupted clients (DESIGN.md §16),
   // collected in selection order and appended to the aggregate — behind the
   // admission gate, under the partial dedup namespace — after the fresh
-  // uploads have been ruled on.
-  struct PartialCandidate {
-    size_t idx = 0;  // selection index
-    std::vector<float> params;
-    double fraction = 0.0;
-    size_t steps = 0;
-    double acked_mb = 0.0;
+  // uploads have been ruled on. Validation sees the tensor as it would enter
+  // aggregation, so a poisoned partial is quarantined at that amplitude.
+  std::vector<PartialArrival> partial_arrivals;
+  std::vector<std::vector<float>> partial_params;
+  // A fresh upload the server accepts, and any update entering the FedAvg
+  // reduction under its client's effective edge.
+  auto participate = [&](size_t i) {
+    participated[i] = 1;
+    total_bytes += static_cast<double>(processed[i].upload_bytes);
+    total_error += processed[i].max_error;
   };
-  std::vector<PartialCandidate> partial_candidates;
+  auto aggregate = [&](size_t client, std::vector<float> params, double weight) {
+    updates.push_back(std::move(params));
+    weights.push_back(weight);
+    if (tree_on) {
+      update_edges.push_back(tree_.EffectiveEdge(client));
+    }
+  };
+  auto below_min = [&] {
+    ++stats.partials_below_min;
+    salvage_tracker_.RecordPartialBelowMin();
+  };
+  auto add_partial = [&](size_t i, std::vector<float> params, double fraction, size_t steps,
+                         double acked_mb) {
+    if (!ValidRealUpdate(params, config_.faults.reject_norm_threshold)) {
+      ++stats.partials_rejected;
+      salvage_tracker_.RecordPartialRejected();
+      return;
+    }
+    PartialArrival p;
+    p.arrival.client_id = order[i];
+    p.arrival.round = round;
+    p.arrival.attempt = kPartialUpdateAttempt;
+    p.arrival.utility = static_cast<double>(shards_[order[i]].total);
+    p.fraction = fraction;
+    p.steps = steps;
+    p.acked_mb = acked_mb;
+    partial_arrivals.push_back(p);
+    partial_params.push_back(std::move(params));
+  };
   // This round's admission counters, folded into the run's totals once both
   // of its bursts (fresh uploads, then partials) have been ruled on.
   AdmissionTracker round_admission;
@@ -408,34 +406,21 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       // as one); salvage only decides whether its partial work survives.
       if (salvage_on && salvage_fractions[i] > 0.0) {
         if (salvage_fractions[i] < config_.salvage.min_progress) {
-          ++stats.partials_below_min;
-          salvage_tracker_.RecordPartialBelowMin();
+          below_min();
         } else {
           // Progress normalization (DESIGN.md §16): a truncated run's delta
           // is roughly `fraction` of a full epoch's, so averaging the raw
           // partial into FedAvg drags the round's step back toward the stale
           // global. Extrapolate the delta to full-epoch scale — bounded by
           // 1 / min_progress — and let the samples x fraction aggregation
-          // weight carry the reduced trust instead. Validation sees the
-          // extrapolated tensor, so a poisoned partial is quarantined at the
-          // amplitude it would actually enter aggregation with.
+          // weight carry the reduced trust instead.
           std::vector<float> extrapolated = std::move(processed[i].params);
           const float inv_fraction = static_cast<float>(1.0 / salvage_fractions[i]);
           for (size_t j = 0; j < extrapolated.size(); ++j) {
             extrapolated[j] =
                 global_params[j] + (extrapolated[j] - global_params[j]) * inv_fraction;
           }
-          if (!ValidRealUpdate(extrapolated, config_.faults.reject_norm_threshold)) {
-            ++stats.partials_rejected;
-            salvage_tracker_.RecordPartialRejected();
-          } else {
-            PartialCandidate p;
-            p.idx = i;
-            p.params = std::move(extrapolated);
-            p.fraction = salvage_fractions[i];
-            p.steps = salvage_steps[i];
-            partial_candidates.push_back(std::move(p));
-          }
+          add_partial(i, std::move(extrapolated), salvage_fractions[i], salvage_steps[i], 0.0);
         }
       }
       continue;
@@ -461,28 +446,18 @@ RealRoundStats RealFlEngine::RunRoundImpl(
           const double frac =
               payload_mb > 0.0 ? std::min(1.0, transfers[i].progress_mb / payload_mb) : 0.0;
           if (frac > 0.0 && frac < config_.salvage.min_progress) {
-            ++stats.partials_below_min;
-            salvage_tracker_.RecordPartialBelowMin();
+            below_min();
           } else if (frac >= config_.salvage.min_progress) {
             std::vector<float> patched = global_params;
             const size_t prefix = std::min(
                 patched.size(), static_cast<size_t>(frac * static_cast<double>(patched.size())));
             std::copy(processed[i].params.begin(), processed[i].params.begin() + prefix,
                       patched.begin());
-            if (!ValidRealUpdate(patched, config_.faults.reject_norm_threshold)) {
-              ++stats.partials_rejected;
-              salvage_tracker_.RecordPartialRejected();
-            } else {
-              PartialCandidate p;
-              p.idx = i;
-              p.params = std::move(patched);
-              p.fraction = frac;
-              // Training finished in full; only the transfer was cut short.
-              p.steps = TotalLocalSteps(client_labels_[order[i]].size(), config_.sgd.epochs,
-                                        config_.sgd.batch_size);
-              p.acked_mb = transfers[i].progress_mb;
-              partial_candidates.push_back(std::move(p));
-            }
+            // Training finished in full; only the transfer was cut short.
+            add_partial(i, std::move(patched), frac,
+                        TotalLocalSteps(client_labels_[order[i]].size(), config_.sgd.epochs,
+                                        config_.sgd.batch_size),
+                        transfers[i].progress_mb);
           }
         }
         continue;
@@ -498,14 +473,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       passing.push_back(i);
       continue;
     }
-    participated[i] = 1;
-    total_bytes += static_cast<double>(processed[i].upload_bytes);
-    total_error += processed[i].max_error;
-    updates.push_back(std::move(processed[i].params));
-    weights.push_back(static_cast<double>(shards_[order[i]].total));
-    if (tree_on) {
-      update_edges.push_back(tree_.EffectiveEdge(order[i]));
-    }
+    participate(i);
+    aggregate(order[i], std::move(processed[i].params),
+              static_cast<double>(shards_[order[i]].total));
   }
   if (ingest_on) {
     // Server ingestion (DESIGN.md §15): the round's validated uploads form
@@ -514,182 +484,78 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     // it in arrival order. An admitted redundant delivery is re-processed in
     // full: its parameter vector re-enters the FedAvg reduction and its wire
     // volume is booked as redundant; a doorstep rejection costs nothing.
-    struct IngressDelivery {
-      AdmissionController::Arrival arrival;
-      size_t idx = 0;  // selection index
-      bool redundant = false;
-      bool replay = false;
-      double upload_mb = 0.0;
+    auto upload_mb = [&](size_t i) {
+      return static_cast<double>(processed[i].upload_bytes) / (1024.0 * 1024.0);
     };
-    std::vector<size_t> arrival_order = passing;
-    overload_.MaybeReorder(round, arrival_order);
-    auto fresh_delivery = [&](size_t i) {
-      IngressDelivery d;
-      d.arrival.client_id = order[i];
-      d.arrival.round = round;
-      d.arrival.attempt = 0;
-      d.arrival.staleness = 0.0;
+    std::vector<AdmissionController::Arrival> arrivals(passing.size());
+    for (size_t j = 0; j < passing.size(); ++j) {
+      arrivals[j].client_id = order[passing[j]];
+      arrivals[j].round = round;
       // Utility-priority shedding keeps the data-rich uploads.
-      d.arrival.utility = static_cast<double>(shards_[order[i]].total);
-      d.idx = i;
-      d.upload_mb = static_cast<double>(processed[i].upload_bytes) / (1024.0 * 1024.0);
-      return d;
-    };
-    std::vector<IngressDelivery> deliveries;
-    for (size_t i : arrival_order) {
-      deliveries.push_back(fresh_delivery(i));
+      arrivals[j].utility = static_cast<double>(shards_[order[passing[j]]].total);
     }
-    if (overload_.enabled()) {
-      for (size_t i : arrival_order) {
-        const size_t copies = overload_.DuplicateCopies(round, order[i]);
-        for (size_t c = 0; c < copies; ++c) {
-          IngressDelivery d = fresh_delivery(i);
-          d.redundant = true;
-          deliveries.push_back(d);
-        }
-      }
-      for (size_t i = 0; i < k; ++i) {
-        const LoggedUpload* logged = update_log_.Get(order[i]);
-        if (logged == nullptr || logged->round >= round) {
-          continue;
-        }
-        const size_t slots = overload_.ReplaySlots(round, order[i]);
-        for (size_t s = 0; s < slots; ++s) {
-          IngressDelivery d;
-          d.arrival.client_id = order[i];
-          d.arrival.round = logged->round;
-          d.arrival.attempt = logged->attempt;
-          d.arrival.staleness = static_cast<double>(round - logged->round);
-          d.arrival.utility = logged->weight / (1.0 + d.arrival.staleness);
-          d.idx = i;
-          d.redundant = true;
-          d.replay = true;
-          d.upload_mb = logged->upload_mb;
-          deliveries.push_back(d);
-        }
-      }
-    }
-    std::vector<AdmissionController::Arrival> arrivals;
-    arrivals.reserve(deliveries.size());
-    for (const IngressDelivery& d : deliveries) {
-      arrivals.push_back(d.arrival);
-    }
-    const std::vector<AdmissionController::Verdict> verdicts =
-        admission_.Admit(round, arrivals, &round_admission);
-    for (size_t n = 0; n < deliveries.size(); ++n) {
-      const IngressDelivery& d = deliveries[n];
-      const AdmissionController::Verdict& v = verdicts[n];
-      const size_t i = d.idx;
-      if (!v.admitted) {
-        switch (v.reason) {
-          case DropoutReason::kDuplicate:
-            ++stats.deduplicated;
-            break;
-          case DropoutReason::kShed:
-            ++stats.shed;
-            break;
-          case DropoutReason::kRateLimited:
-            ++stats.rate_limited;
-            break;
-          case DropoutReason::kReplayed:
-            ++stats.replay_rejected;
-            break;
-          default:
-            break;
-        }
-        if (!d.redundant) {
-          reasons[i] = v.reason;
-        } else if (report) {
-          // A doorstep-rejected redundant still costs the policy one
-          // participated=false report — the delivery happened, the server
-          // just refused to process it.
-          report(order[i], techniques[i], false, 0.0);
-        }
-        continue;
-      }
-      ++stats.admitted;
-      if (!d.redundant) {
-        participated[i] = 1;
-        total_bytes += static_cast<double>(processed[i].upload_bytes);
-        total_error += processed[i].max_error;
-        // Copies, not moves: duplicates of this upload may still arrive.
-        updates.push_back(processed[i].params);
-        weights.push_back(static_cast<double>(shards_[order[i]].total) * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
-      } else if (!d.replay) {
-        stats.redundant_upload_mb += d.upload_mb;
-        updates.push_back(processed[i].params);
-        weights.push_back(static_cast<double>(shards_[order[i]].total) * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
-      } else {
-        const LoggedUpload* logged = update_log_.Get(order[i]);
-        stats.redundant_upload_mb += d.upload_mb;
-        updates.push_back(logged->params);
-        weights.push_back(logged->weight * v.weight);
-        if (tree_on) {
-          update_edges.push_back(tree_.EffectiveEdge(order[i]));
-        }
-      }
-    }
-    if (overload_.enabled()) {
-      // Remember the accepted uploads only now that every replay in this
-      // burst has read its logged entry: the replay fault re-delivers
-      // exactly this entry (same dedup key) in a later round.
-      for (size_t i = 0; i < k; ++i) {
-        if (!participated[i]) {
-          continue;
-        }
-        LoggedUpload entry;
-        entry.round = round;
-        entry.attempt = 0;
-        entry.upload_mb = static_cast<double>(processed[i].upload_bytes) / (1024.0 * 1024.0);
-        entry.technique = static_cast<uint32_t>(techniques[i]);
-        entry.params = std::move(processed[i].params);
-        entry.weight = static_cast<double>(shards_[order[i]].total);
-        update_log_.Record(order[i], std::move(entry));
-      }
-    }
+    AdmitBurst(
+        round, arrivals, std::span<const size_t>(order.data(), k), &LoggedUpload::weight,
+        &round_admission,
+        [&](const IngressDelivery& d, const AdmissionController::Verdict& v) {
+          const bool replay = d.kind == IngressDelivery::Kind::kReplay;
+          const size_t i = replay ? d.source : passing[d.source];
+          if (!v.admitted) {
+            if (d.kind == IngressDelivery::Kind::kFresh) {
+              reasons[i] = v.reason;
+            } else if (report) {
+              // A doorstep-rejected redundant still costs the policy one
+              // participated=false report — the delivery happened, the
+              // server just refused to process it.
+              report(order[i], techniques[i], false, 0.0);
+            }
+            return;
+          }
+          ++stats.admitted;
+          if (d.kind == IngressDelivery::Kind::kFresh) {
+            participate(i);
+          } else {
+            stats.redundant_upload_mb += replay ? d.logged->upload_mb : upload_mb(i);
+          }
+          // Copies, not moves: duplicates of this upload may still arrive.
+          aggregate(order[i], replay ? d.logged->params : processed[i].params,
+                    (replay ? d.logged->weight : static_cast<double>(shards_[order[i]].total)) *
+                        v.weight);
+        },
+        [&](size_t j) {
+          const size_t i = passing[j];
+          LoggedUpload entry;
+          entry.upload_mb = upload_mb(i);
+          entry.technique = static_cast<uint32_t>(techniques[i]);
+          entry.params = std::move(processed[i].params);
+          entry.weight = static_cast<double>(shards_[order[i]].total);
+          return entry;
+        });
+    // Each refusal records one count, and the round's tracker holds only
+    // this burst so far.
+    stats.deduplicated = round_admission.Deduplicated();
+    stats.shed = round_admission.Shed();
+    stats.rate_limited = round_admission.RateLimited();
+    stats.replay_rejected = round_admission.ReplayRejected();
   }
-  if (!partial_candidates.empty()) {
-    // Partial updates enter through the same admission gate as fresh uploads
-    // (one burst, selection order) under the partial dedup namespace, with
-    // utility discounted by the completed-work fraction so shedding drops
-    // the thinnest partials first. An admitted partial re-enters FedAvg at
-    // step-fraction weight; the client itself stays a dropout.
-    std::vector<AdmissionController::Arrival> arrivals;
-    arrivals.reserve(partial_candidates.size());
-    for (const PartialCandidate& p : partial_candidates) {
-      AdmissionController::Arrival a;
-      a.client_id = order[p.idx];
-      a.round = round;
-      a.attempt = kPartialUpdateAttempt;
-      a.staleness = 0.0;
-      a.utility = static_cast<double>(shards_[order[p.idx]].total) * p.fraction;
-      arrivals.push_back(a);
+  // Partial updates enter through the same admission gate as fresh uploads
+  // (one burst, selection order) under the partial dedup namespace, with
+  // utility discounted by the completed-work fraction so shedding drops the
+  // thinnest partials first. An admitted partial re-enters FedAvg at
+  // step-fraction weight; the client itself stays a dropout.
+  const std::vector<AdmissionController::Verdict> partial_verdicts =
+      AdmitPartials(round, partial_arrivals, &round_admission);
+  for (size_t n = 0; n < partial_verdicts.size(); ++n) {
+    const PartialArrival& p = partial_arrivals[n];
+    if (!partial_verdicts[n].admitted) {
+      ++stats.partials_rejected;
+      continue;
     }
-    const std::vector<AdmissionController::Verdict> verdicts =
-        admission_.Admit(round, arrivals, &round_admission);
-    for (size_t n = 0; n < partial_candidates.size(); ++n) {
-      PartialCandidate& p = partial_candidates[n];
-      if (!verdicts[n].admitted) {
-        ++stats.partials_rejected;
-        salvage_tracker_.RecordPartialRejected();
-        continue;
-      }
-      ++stats.partials_salvaged;
-      stats.salvaged_steps += p.steps;
-      salvage_tracker_.RecordPartialSalvaged(p.steps, p.fraction, p.acked_mb);
-      updates.push_back(std::move(p.params));
-      weights.push_back(static_cast<double>(shards_[order[p.idx]].total) * p.fraction *
-                        verdicts[n].weight);
-      if (tree_on) {
-        update_edges.push_back(tree_.EffectiveEdge(order[p.idx]));
-      }
-    }
+    ++stats.partials_salvaged;
+    stats.salvaged_steps += p.steps;
+    aggregate(p.arrival.client_id, std::move(partial_params[n]),
+              static_cast<double>(shards_[p.arrival.client_id].total) * p.fraction *
+                  partial_verdicts[n].weight);
   }
   stats.peak_queue_depth = round_admission.PeakQueueDepth();
   admission_tracker_.Merge(round_admission);
@@ -752,17 +618,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         topo_tracker_.RecordTampered();
         ++stats.tampered_partials;
       }
-      if (edge_transport_.enabled()) {
-        const TransferResult res =
-            edge_transport_.TryDeliver(round, edge, partial_mb, TransferLeg::kUpload, true);
-        topo_tracker_.RecordPartial(res.delivered, res.attempts, res.wire_mb,
-                                    res.retransmitted_mb);
-        if (!res.delivered) {
-          ++stats.partials_lost;
-          continue;
-        }
-      } else {
-        topo_tracker_.RecordPartial(true, 0, 0.0, 0.0);
+      if (!ForwardPartial(round, edge, partial_mb)) {
+        ++stats.partials_lost;
+        continue;
       }
       if (!ValidRealUpdate(partial, config_.faults.reject_norm_threshold)) {
         topo_tracker_.RecordTamperedRejections(1);
@@ -818,20 +676,14 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         round, health,
         [this](CheckpointWriter& w) {
           w.F32Vec(global_->GetParameters());
-          w.Bool(policy_ != nullptr);
-          if (policy_ != nullptr) {
-            policy_->SaveState(w);
-          }
+          SavePolicy(w);
         },
         [this](CheckpointReader& r) {
           const std::vector<float> params = r.F32Vec();
           FLOATFL_CHECK_MSG(params.size() == global_->ParamCount(),
                             "guard snapshot model parameter count mismatch");
           global_->SetParameters(params);
-          const bool had_policy = r.Bool();
-          if (had_policy && policy_ != nullptr) {
-            policy_->LoadState(r);
-          }
+          LoadPolicy(r);
         });
     if (rolled_back) {
       stats.rolled_back = true;
@@ -880,18 +732,11 @@ void RealFlEngine::SaveState(CheckpointWriter& w) const {
   aggregator_->SaveState(w);
   agg_tracker_.SaveState(w);
   transport_tracker_.SaveState(w);
-  w.Bool(policy_ != nullptr);
-  if (policy_ != nullptr) {
-    policy_->SaveState(w);
-  }
+  SavePolicy(w);
   guard_.SaveState(w);
-  edge_injector_.SaveState(w);
-  tree_.SaveState(w);
-  topo_tracker_.SaveState(w);
+  SaveEdgeTier(w);
   edge_aggregator_->SaveState(w);
-  admission_.SaveState(w);
-  update_log_.SaveState(w);
-  admission_tracker_.SaveState(w);
+  SaveIngress(w);
   salvage_tracker_.SaveState(w);
   // The RecoveryTracker stays the final section of every engine payload:
   // the recovery tests strip it off the tail to compare training state.
@@ -913,23 +758,15 @@ void RealFlEngine::LoadState(CheckpointReader& r) {
   aggregator_->LoadState(r);
   agg_tracker_.LoadState(r);
   transport_tracker_.LoadState(r);
-  const bool had_policy = r.Bool();
-  FLOATFL_CHECK_MSG(had_policy == (policy_ != nullptr) || !r.ok(),
-                    "checkpoint policy presence mismatch");
-  if (had_policy != (policy_ != nullptr)) {
+  const bool policy_matches = LoadPolicy(r);
+  FLOATFL_CHECK_MSG(policy_matches || !r.ok(), "checkpoint policy presence mismatch");
+  if (!policy_matches) {
     return;
   }
-  if (policy_ != nullptr) {
-    policy_->LoadState(r);
-  }
   guard_.LoadState(r);
-  edge_injector_.LoadState(r);
-  tree_.LoadState(r);
-  topo_tracker_.LoadState(r);
+  LoadEdgeTier(r);
   edge_aggregator_->LoadState(r);
-  admission_.LoadState(r);
-  update_log_.LoadState(r);
-  admission_tracker_.LoadState(r);
+  LoadIngress(r);
   salvage_tracker_.LoadState(r);
   recovery_tracker_.LoadState(r);
 }

@@ -19,33 +19,21 @@
 #include <vector>
 
 #include "src/admission/admission_config.h"
-#include "src/admission/admission_controller.h"
-#include "src/admission/update_log.h"
 #include "src/agg/aggregator.h"
 #include "src/agg/aggregator_config.h"
 #include "src/common/rng.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/failure/checkpoint_io.h"
-#include "src/failure/edge_fault_injector.h"
-#include "src/failure/fault_injector.h"
-#include "src/failure/overload_injector.h"
+#include "src/failure/fault_config.h"
+#include "src/fl/server_core.h"
 #include "src/fl/tuning_policy.h"
 #include "src/guard/guard_config.h"
-#include "src/guard/training_guard.h"
-#include "src/metrics/admission_tracker.h"
-#include "src/metrics/aggregation_tracker.h"
-#include "src/metrics/recovery_tracker.h"
-#include "src/metrics/salvage_tracker.h"
-#include "src/metrics/topology_tracker.h"
-#include "src/metrics/transport_tracker.h"
-#include "src/net/transport.h"
 #include "src/nn/mlp.h"
 #include "src/nn/optimizer.h"
 #include "src/opt/technique.h"
 #include "src/salvage/salvage_config.h"
-#include "src/sim/thread_pool.h"
-#include "src/topology/aggregation_tree.h"
+#include "src/topology/topology_config.h"
 
 namespace floatfl {
 
@@ -155,7 +143,7 @@ struct RealRoundStats {
   uint64_t salvaged_steps = 0;
 };
 
-class RealFlEngine {
+class RealFlEngine : public ServerCore {
  public:
   explicit RealFlEngine(const RealFlConfig& config);
 
@@ -186,20 +174,6 @@ class RealFlEngine {
   // Serialized fp32 upload size, for compression-ratio comparisons.
   size_t DenseUpdateBytes() const;
   size_t RoundsRun() const { return rounds_run_; }
-  const AggregationTracker& aggregation_tracker() const { return agg_tracker_; }
-  const TransportTracker& transport_tracker() const { return transport_tracker_; }
-  const TrainingGuard& guard() const { return guard_; }
-  const EdgeFaultInjector& edge_injector() const { return edge_injector_; }
-  const AggregationTree& tree() const { return tree_; }
-  const TopologyTracker& topology_tracker() const { return topo_tracker_; }
-  // Cumulative server-ingestion accounting (DESIGN.md §15).
-  const AdmissionTracker& admission_tracker() const { return admission_tracker_; }
-  // Crash-recovery accounting (DESIGN.md §14); recorded by the RunSupervisor
-  // and serialized with the engine so totals survive process kills.
-  RecoveryTracker& recovery_tracker() { return recovery_tracker_; }
-  const RecoveryTracker& recovery_tracker() const { return recovery_tracker_; }
-  // Graceful-degradation accounting (DESIGN.md §16).
-  const SalvageTracker& salvage_tracker() const { return salvage_tracker_; }
 
   // Checkpoint/resume: the datasets and model topology are rebuilt
   // deterministically from config; only the mutable training state (RNGs,
@@ -230,40 +204,15 @@ class RealFlEngine {
       const std::function<void(size_t, TechniqueKind, bool, double)>& report);
 
   RealFlConfig config_;
-  TuningPolicy* policy_ = nullptr;
-  FaultInjector injector_;
   std::unique_ptr<Aggregator> aggregator_;
-  AggregationTracker agg_tracker_;
-  // Bandwidth-free lossy delivery for real uploads (Transport::TryDeliver);
-  // disabled by default.
-  Transport transport_;
-  TransportTracker transport_tracker_;
-  // Self-healing guard (DESIGN.md §11); disabled by default.
-  TrainingGuard guard_;
-  // Hierarchical aggregation tree (DESIGN.md §13); disabled (star pipeline,
-  // byte-identical engine) by default. One edge aggregator instance folds
-  // every edge's cohort in edge order, so its internal totals accumulate
-  // deterministically across edges and rounds.
-  EdgeFaultInjector edge_injector_;
-  AggregationTree tree_;
-  TopologyTracker topo_tracker_;
-  Transport edge_transport_;
+  // One edge aggregator instance folds every edge's cohort in edge order
+  // (DESIGN.md §13), so its internal totals accumulate deterministically
+  // across edges and rounds.
   std::unique_ptr<Aggregator> edge_aggregator_;
-  // Server-ingestion admission layer (DESIGN.md §15); disabled by default.
-  OverloadInjector overload_;
-  AdmissionController admission_;
-  AdmissionTracker admission_tracker_;
-  UpdateLog update_log_;
-  RecoveryTracker recovery_tracker_;
-  // Partial-work salvage accounting (DESIGN.md §16); no-op by default.
-  SalvageTracker salvage_tracker_;
   Rng rng_;
   // Root of the per-(round, client) training streams; never advanced, only
   // ForkKeyed — so the streams are independent of simulation order.
   Rng client_stream_root_;
-  // Work pool for per-client local training; null when num_threads
-  // resolves to 1 (fully sequential path).
-  std::unique_ptr<ThreadPool> pool_;
   size_t rounds_run_ = 0;
   std::unique_ptr<SyntheticTaskData> task_;
   std::vector<ClientShard> shards_;

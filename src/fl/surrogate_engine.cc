@@ -3,28 +3,34 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/stats.h"
+
 namespace floatfl {
+namespace {
+
+// DropoutBreakdown's counts in payload order.
+constexpr size_t DropoutBreakdown::*kBreakdownCounts[] = {
+    &DropoutBreakdown::unavailable,     &DropoutBreakdown::out_of_memory,
+    &DropoutBreakdown::missed_deadline, &DropoutBreakdown::departed,
+    &DropoutBreakdown::crashed,         &DropoutBreakdown::corrupted,
+    &DropoutBreakdown::rejected,        &DropoutBreakdown::transfer_timed_out,
+    &DropoutBreakdown::edge_orphaned,   &DropoutBreakdown::shed,
+    &DropoutBreakdown::duplicate,       &DropoutBreakdown::replayed,
+    &DropoutBreakdown::rate_limited,    &DropoutBreakdown::backup_covered,
+    &DropoutBreakdown::backup_redundant,
+};
+
+}  // namespace
 
 SurrogateEngine::SurrogateEngine(const ExperimentConfig& config, TuningPolicy* policy,
                                  size_t participants)
-    : config_(config),
-      policy_(policy),
+    : ServerCore(config.seed, config.num_clients, config.num_threads, config.faults, config.guard,
+                 config.topology, config.admission, config.salvage, policy),
+      config_(config),
       clients_(BuildPopulation(GetDatasetSpec(config.dataset), config.num_clients, config.alpha,
                                config.interference, config.seed)),
       tracker_(config.num_clients) {
   ValidateExperimentConfig(config_);
-  const size_t threads = ResolveThreadCount(config.num_threads);
-  if (threads > 1) {
-    // The calling thread participates in every ParallelFor, so `threads`
-    // total threads do client work.
-    pool_ = std::make_unique<ThreadPool>(threads - 1);
-  }
-  injector_ = FaultInjector(config_.faults, config_.seed, config_.num_clients);
-  transport_ = Transport(config_.faults, config_.seed);
-  guard_ = TrainingGuard(config_.guard);
-  overload_ = OverloadInjector(config_.faults, config_.seed);
-  admission_ = AdmissionController(config_.admission);
-  update_log_ = UpdateLog(config_.num_clients);
   if (config_.deadline_s <= 0.0) {
     config_.deadline_s = AutoDeadlineSeconds(config_, clients_);
   }
@@ -306,134 +312,72 @@ double SurrogateEngine::UploadQuality(const ClientRoundOutcome& outcome,
 }
 
 std::vector<ClientContribution> SurrogateEngine::IngestBurst(
-    uint64_t now_round, std::span<FreshUpload> fresh, std::span<const ReplaySource> replays,
-    const GlobalObservation& global) {
-  struct Delivery {
-    AdmissionController::Arrival arrival;
-    FreshUpload* upload = nullptr;  // null for a duplicate or replay
-    const ClientObservation* observation = nullptr;
-    TechniqueKind technique = TechniqueKind::kNone;
-    double quality = 0.0;
-    double upload_comm_s = 0.0;
-    double upload_mb = 0.0;
+    uint64_t now_round, std::span<FreshUpload> fresh, std::span<const size_t> replay_clients,
+    std::span<const ClientObservation> replay_observations, const GlobalObservation& global) {
+  // The log form of a fresh upload is also what each copy of it carries.
+  auto logged_form = [&fresh](size_t i) {
+    const FreshUpload& up = fresh[i];
+    LoggedUpload entry;
+    entry.quality = up.quality;
+    entry.upload_comm_s = 0.5 * up.outcome->costs.comm_time_s;  // upload leg
+    entry.upload_mb = 0.5 * up.outcome->costs.traffic_mb;
+    entry.technique = static_cast<uint32_t>(up.outcome->technique);
+    return entry;
   };
-  auto copy_of = [](const FreshUpload& up) {
-    Delivery d;
-    d.arrival = up.arrival;
-    d.observation = up.observation;
-    d.technique = up.outcome->technique;
-    d.quality = up.quality;
-    d.upload_comm_s = 0.5 * up.outcome->costs.comm_time_s;  // upload leg
-    d.upload_mb = 0.5 * up.outcome->costs.traffic_mb;
-    return d;
-  };
-  std::vector<Delivery> deliveries;
-  for (FreshUpload& up : fresh) {
-    deliveries.push_back(copy_of(up));
-    deliveries.back().upload = &up;
-  }
-  if (overload_.enabled()) {
-    // At-least-once duplicates carry the exact key of the upload they copy,
-    // which is what lets idempotent admission fold them.
-    for (const FreshUpload& up : fresh) {
-      const size_t copies = overload_.DuplicateCopies(now_round, up.arrival.client_id);
-      for (size_t c = 0; c < copies; ++c) {
-        deliveries.push_back(copy_of(up));
-      }
-    }
-    // Replays re-deliver the client's last *accepted* upload — what a
-    // retransmit buffer would still hold — at its original keys.
-    for (const ReplaySource& source : replays) {
-      const LoggedUpload* logged = update_log_.Get(source.client_id);
-      if (logged == nullptr || logged->round >= now_round) {
-        continue;
-      }
-      const size_t slots = overload_.ReplaySlots(now_round, source.client_id);
-      for (size_t s = 0; s < slots; ++s) {
-        Delivery d;
-        d.arrival.client_id = source.client_id;
-        d.arrival.round = logged->round;
-        d.arrival.attempt = logged->attempt;
-        d.arrival.staleness = static_cast<double>(now_round - logged->round);
-        // A stale upload ranks below fresh ones under utility-priority
-        // shedding, more so the older it is.
-        d.arrival.utility = logged->quality / (1.0 + d.arrival.staleness);
-        d.observation = source.observation;
-        d.technique = static_cast<TechniqueKind>(logged->technique);
-        d.quality = logged->quality;
-        d.upload_comm_s = logged->upload_comm_s;
-        d.upload_mb = logged->upload_mb;
-        deliveries.push_back(d);
-      }
-    }
-  }
   std::vector<AdmissionController::Arrival> arrivals;
-  arrivals.reserve(deliveries.size());
-  for (const Delivery& d : deliveries) {
-    arrivals.push_back(d.arrival);
+  arrivals.reserve(fresh.size());
+  for (const FreshUpload& up : fresh) {
+    arrivals.push_back(up.arrival);
   }
-  const std::vector<AdmissionController::Verdict> verdicts =
-      admission_.Admit(now_round, arrivals, &admission_tracker_);
-
   std::vector<ClientContribution> redundant;
-  for (size_t i = 0; i < deliveries.size(); ++i) {
-    const Delivery& d = deliveries[i];
-    const AdmissionController::Verdict& v = verdicts[i];
-    if (d.upload != nullptr) {
-      if (v.admitted) {
-        d.upload->weight = v.weight;
-      } else {
-        // A legitimate upload turned away at ingress (shed / rate-limited):
-        // the engine books it like any other dropout.
-        d.upload->outcome->completed = false;
-        d.upload->outcome->reason = v.reason;
-      }
-      continue;
-    }
-    if (v.admitted) {
-      accountant_.Record(0.0, d.upload_comm_s, 0.0, false);
-      redundant_mb_ += d.upload_mb;
-      ClientContribution extra;
-      extra.client_id = d.arrival.client_id;
-      extra.quality = d.quality * v.weight;
-      extra.staleness = d.arrival.staleness;
-      redundant.push_back(extra);
-    } else {
-      // Refused at the doorstep before any processing: no waste charge and
-      // no selector/guard/cooldown side effects, so folding a duplicate
-      // leaves the model trajectory bit-identical to never receiving it.
-      tracker_.Record(d.arrival.client_id, d.technique, false, v.reason);
-      CountDropout(v.reason, dropout_breakdown_);
-      if (policy_ != nullptr) {
-        policy_->Report(d.arrival.client_id, *d.observation, global, d.technique, false, 0.0);
-      }
-    }
-  }
-  if (overload_.enabled()) {
-    // Remember the accepted uploads, only now that every replay in this
-    // burst has read its logged entry: the replay fault re-delivers exactly
-    // this entry in a later burst.
-    for (const FreshUpload& up : fresh) {
-      if (!up.outcome->completed) {
-        continue;
-      }
-      LoggedUpload entry;
-      entry.round = up.arrival.round;
-      entry.attempt = up.arrival.attempt;
-      entry.quality = up.quality;
-      entry.upload_comm_s = 0.5 * up.outcome->costs.comm_time_s;
-      entry.upload_mb = 0.5 * up.outcome->costs.traffic_mb;
-      entry.technique = static_cast<uint32_t>(up.outcome->technique);
-      update_log_.Record(up.arrival.client_id, entry);
-    }
-  }
+  AdmitBurst(
+      now_round, arrivals, replay_clients, &LoggedUpload::quality, &admission_tracker_,
+      [&](const IngressDelivery& d, const AdmissionController::Verdict& v) {
+        if (d.kind == IngressDelivery::Kind::kFresh) {
+          FreshUpload& up = fresh[d.source];
+          if (v.admitted) {
+            up.weight = v.weight;
+          } else {
+            // A legitimate upload turned away at ingress (shed /
+            // rate-limited): the engine books it like any other dropout.
+            up.outcome->completed = false;
+            up.outcome->reason = v.reason;
+          }
+          return;
+        }
+        const bool replay = d.kind == IngressDelivery::Kind::kReplay;
+        const LoggedUpload sent = replay ? *d.logged : logged_form(d.source);
+        if (v.admitted) {
+          accountant_.Record(0.0, sent.upload_comm_s, 0.0, false);
+          redundant_mb_ += sent.upload_mb;
+          ClientContribution extra;
+          extra.client_id = d.arrival.client_id;
+          extra.quality = sent.quality * v.weight;
+          extra.staleness = d.arrival.staleness;
+          redundant.push_back(extra);
+          return;
+        }
+        // Refused at the doorstep before any processing: no waste charge and
+        // no selector/guard/cooldown side effects, so folding a duplicate
+        // leaves the model trajectory bit-identical to never receiving it.
+        const auto technique = static_cast<TechniqueKind>(sent.technique);
+        tracker_.Record(d.arrival.client_id, technique, false, v.reason);
+        CountDropout(v.reason, dropout_breakdown_);
+        if (policy_ != nullptr) {
+          const ClientObservation& observation =
+              replay ? replay_observations[d.source] : *fresh[d.source].observation;
+          policy_->Report(d.arrival.client_id, observation, global, technique, false, 0.0);
+        }
+      },
+      logged_form);
   return redundant;
 }
 
 void SurrogateEngine::SalvagePartials(uint64_t now_round,
                                       std::span<const PartialUpload> partials) {
   std::vector<ClientRoundOutcome*> candidates;
-  std::vector<AdmissionController::Arrival> arrivals;
+  std::vector<PartialArrival> arrivals;
+  const double upload_payload_mb = GetModelProfile(config_.model).weight_mb;
   for (const PartialUpload& p : partials) {
     const ClientRoundOutcome& o = *p.outcome;
     if (o.completed || o.salvage_fraction <= 0.0) {
@@ -451,29 +395,22 @@ void SurrogateEngine::SalvagePartials(uint64_t now_round,
       continue;
     }
     candidates.push_back(p.outcome);
-    arrivals.push_back(p.arrival);
-    arrivals.back().utility *= o.salvage_fraction;
-  }
-  if (candidates.empty()) {
-    return;
-  }
-  const std::vector<AdmissionController::Verdict> verdicts =
-      admission_.Admit(now_round, arrivals, &admission_tracker_);
-  const double upload_payload_mb = GetModelProfile(config_.model).weight_mb;
-  for (size_t j = 0; j < candidates.size(); ++j) {
-    ClientRoundOutcome& o = *candidates[j];
-    if (!verdicts[j].admitted) {
-      salvage_tracker_.RecordPartialRejected();
-      continue;
-    }
-    o.salvaged = true;
+    PartialArrival partial;
+    partial.arrival = p.arrival;
+    partial.fraction = o.salvage_fraction;
+    partial.steps = o.salvage_steps;
     // Acked upload bytes the salvage reuses; zero for training
     // interruptions, where nothing of the update reached the wire.
-    const double acked_mb =
+    partial.acked_mb =
         o.reason == DropoutReason::kTransferTimedOut
             ? o.salvage_fraction * upload_payload_mb * EffectOf(o.technique).comm_mult
             : 0.0;
-    salvage_tracker_.RecordPartialSalvaged(o.salvage_steps, o.salvage_fraction, acked_mb);
+    arrivals.push_back(partial);
+  }
+  const std::vector<AdmissionController::Verdict> verdicts =
+      AdmitPartials(now_round, arrivals, &admission_tracker_);
+  for (size_t j = 0; j < verdicts.size(); ++j) {
+    candidates[j]->salvaged = verdicts[j].admitted;
   }
 }
 
@@ -504,6 +441,99 @@ void SurrogateEngine::BookOutcome(Client& client, const ClientRoundOutcome& outc
     // few rounds before the selectors (or FedBuff's launcher) consider it.
     client.cooldown_until_round = round + 1 + config_.faults.retry_cooldown_rounds;
   }
+}
+
+void SurrogateEngine::SaveOutcomeBooks(CheckpointWriter& w, bool edge_orphaned) const {
+  w.Size(rejected_updates_);
+  for (size_t DropoutBreakdown::*count : kBreakdownCounts) {
+    if (edge_orphaned || count != &DropoutBreakdown::edge_orphaned) {
+      w.Size(dropout_breakdown_.*count);
+    }
+  }
+  w.F64Vec(accuracy_history_);
+}
+
+void SurrogateEngine::LoadOutcomeBooks(CheckpointReader& r, bool edge_orphaned) {
+  rejected_updates_ = r.Size();
+  for (size_t DropoutBreakdown::*count : kBreakdownCounts) {
+    if (edge_orphaned || count != &DropoutBreakdown::edge_orphaned) {
+      dropout_breakdown_.*count = r.Size();
+    }
+  }
+  accuracy_history_ = r.F64Vec();
+}
+
+ExperimentResult SurrogateEngine::Snapshot() const {
+  ExperimentResult result;
+  const std::vector<double> accuracies = surrogate_->AllClientAccuracies();
+  result.accuracy_avg = Mean(accuracies);
+  result.accuracy_top10 = TopFractionMean(accuracies, 0.10);
+  result.accuracy_bottom10 = BottomFractionMean(accuracies, 0.10);
+  result.global_accuracy = surrogate_->GlobalAccuracy();
+  result.total_selected = tracker_.TotalSelected();
+  result.total_completed = tracker_.TotalCompleted();
+  result.total_dropouts = tracker_.TotalDropouts();
+  result.never_selected = tracker_.NeverSelected();
+  result.never_completed = tracker_.NeverCompleted();
+  result.dropout_breakdown = dropout_breakdown_;
+  result.rejected_updates = rejected_updates_;
+  result.byzantine_selected = agg_tracker_.TotalByzantineSelected();
+  result.krum_rejections = agg_tracker_.TotalKrumRejections();
+  result.updates_trimmed = agg_tracker_.TotalTrimmed();
+  result.transfer_attempts = transport_tracker_.TotalAttempts();
+  result.wire_mb = transport_tracker_.TotalWireMb();
+  result.retransmitted_mb = transport_tracker_.TotalRetransmittedMb();
+  result.salvaged_mb = transport_tracker_.TotalSalvagedMb();
+  result.transfer_backoff_s = transport_tracker_.TotalBackoffS();
+  result.useful = accountant_.Useful();
+  result.wasted = accountant_.Wasted();
+  result.wall_clock_hours = now_s_ / 3600.0;
+  result.per_technique = tracker_.PerTechnique();
+  result.per_technique_dropouts = tracker_.DropoutsByTechnique();
+  result.guard_snapshots = guard_.tracker().Snapshots();
+  result.watchdog_triggers = guard_.tracker().WatchdogTriggers();
+  result.rollbacks = guard_.tracker().Rollbacks();
+  result.quarantined_actions = guard_.tracker().MaskedActions();
+  result.quarantine_openings = guard_.tracker().QuarantineOpenings();
+  result.rejected_rewards = guard_.tracker().RejectedRewards();
+  result.safe_mode_rounds = guard_.tracker().SafeModeRounds();
+  result.edge_crashes = topo_tracker_.EdgeCrashes();
+  result.edge_blackouts = topo_tracker_.EdgeBlackouts();
+  result.reparented_clients = topo_tracker_.ReparentedClients();
+  result.orphaned_clients = topo_tracker_.OrphanedClients();
+  result.partials_forwarded = topo_tracker_.PartialsForwarded();
+  result.partials_lost = topo_tracker_.PartialsLost();
+  result.tampered_partials = topo_tracker_.TamperedPartials();
+  result.tampered_rejections = topo_tracker_.TamperedRejections();
+  result.late_partials = topo_tracker_.LatePartials();
+  result.tier1_wire_mb = topo_tracker_.Tier1WireMb();
+  result.tier1_retransmitted_mb = topo_tracker_.Tier1RetransmittedMb();
+  result.recovery_restarts = recovery_tracker_.Restarts();
+  result.recovery_archives_skipped = recovery_tracker_.ArchivesSkipped();
+  result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
+  result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
+  result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
+  result.admission_admitted = admission_tracker_.Admitted();
+  result.admission_deduplicated = admission_tracker_.Deduplicated();
+  result.admission_shed = admission_tracker_.Shed();
+  result.admission_rate_limited = admission_tracker_.RateLimited();
+  result.admission_replay_rejected = admission_tracker_.ReplayRejected();
+  result.admission_peak_queue_depth = admission_tracker_.PeakQueueDepth();
+  result.redundant_mb = redundant_mb_;
+  result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
+  result.partials_below_min = salvage_tracker_.PartialsBelowMin();
+  result.partials_rejected = salvage_tracker_.PartialsRejected();
+  result.salvaged_steps = salvage_tracker_.SalvagedSteps();
+  result.salvaged_progress_mb = salvage_tracker_.SalvagedProgressMb();
+  result.backups_planned = salvage_tracker_.BackupsPlanned();
+  result.backups_won = salvage_tracker_.BackupsWon();
+  result.backups_redundant = salvage_tracker_.BackupsRedundant();
+  result.deadline_misses_averted = salvage_tracker_.DeadlineMissesAverted();
+  result.transfer_progress_mb = transport_tracker_.TotalProgressMb();
+  result.accuracy_history = accuracy_history_;
+  result.per_client_selected = tracker_.selected();
+  result.per_client_completed = tracker_.completed();
+  return result;
 }
 
 }  // namespace floatfl

@@ -1,13 +1,16 @@
 // Shared core of the trace-driven engines (SyncEngine, AsyncEngine).
 //
 // Both engines run one client lifecycle over the same simulated population
-// and the same server-side books; they differ in when clients launch and
-// when the server aggregates. This base owns what they share and gives each
+// and the same server core; they differ in when clients launch and when the
+// server aggregates. This base owns what they share and gives each
 // lifecycle stage one implementation (DESIGN.md §7):
 //   SimulateClientRound  one client's round against its traces;
-//   IngestBurst          the server-ingestion burst (DESIGN.md §15);
-//   SalvagePartials      the partial-work salvage gate (DESIGN.md §16);
-//   BookOutcome          the per-outcome bookkeeping.
+//   IngestBurst          the quality-space payload of the server core's
+//                        ingestion burst (DESIGN.md §15);
+//   SalvagePartials      the candidates for the core's partial-work salvage
+//                        gate (DESIGN.md §16);
+//   BookOutcome          the per-outcome bookkeeping;
+//   Snapshot             the run's ExperimentResult.
 // The engines supply the rest: selection or launch order, observe/decide,
 // validation and the round close, aggregation, feedback and the clock.
 #ifndef SRC_FL_SURROGATE_ENGINE_H_
@@ -20,25 +23,15 @@
 #include <vector>
 
 #include "src/admission/admission_controller.h"
-#include "src/admission/update_log.h"
-#include "src/failure/fault_injector.h"
-#include "src/failure/overload_injector.h"
 #include "src/fl/client.h"
 #include "src/fl/cost_model.h"
 #include "src/fl/experiment.h"
 #include "src/fl/observation.h"
+#include "src/fl/server_core.h"
 #include "src/fl/tuning_policy.h"
-#include "src/guard/training_guard.h"
-#include "src/metrics/admission_tracker.h"
-#include "src/metrics/aggregation_tracker.h"
 #include "src/metrics/participation_tracker.h"
-#include "src/metrics/recovery_tracker.h"
 #include "src/metrics/resource_accountant.h"
-#include "src/metrics/salvage_tracker.h"
-#include "src/metrics/transport_tracker.h"
 #include "src/models/surrogate_accuracy.h"
-#include "src/net/transport.h"
-#include "src/sim/thread_pool.h"
 
 namespace floatfl {
 
@@ -86,23 +79,16 @@ struct ClientRoundOutcome {
   bool salvaged = false;
 };
 
-class SurrogateEngine {
+class SurrogateEngine : public ServerCore {
  public:
   const SurrogateAccuracyModel& accuracy_model() const { return *surrogate_; }
   // Resolved configuration (auto-calibrated deadline included).
   const ExperimentConfig& config() const { return config_; }
   size_t RejectedUpdates() const { return rejected_updates_; }
-  const AggregationTracker& aggregation_tracker() const { return agg_tracker_; }
-  const TransportTracker& transport_tracker() const { return transport_tracker_; }
-  const TrainingGuard& guard() const { return guard_; }
-  // Cumulative server-ingestion accounting (DESIGN.md §15).
-  const AdmissionTracker& admission_tracker() const { return admission_tracker_; }
-  // Crash-recovery accounting (DESIGN.md §14); recorded by the RunSupervisor
-  // and serialized with the engine so totals survive process kills.
-  RecoveryTracker& recovery_tracker() { return recovery_tracker_; }
-  const RecoveryTracker& recovery_tracker() const { return recovery_tracker_; }
-  // Graceful-degradation accounting (DESIGN.md §16).
-  const SalvageTracker& salvage_tracker() const { return salvage_tracker_; }
+
+  // The run so far as an ExperimentResult. The async engine refuses the
+  // tree and speculation, so its topology and backup fields stay zero.
+  ExperimentResult Snapshot() const;
 
  protected:
   // Builds the population and the shared books from `config`, validating it
@@ -135,25 +121,20 @@ class SurrogateEngine {
     // weight under staleness downweighting.
     double weight = 1.0;
   };
-  // A selected client whose last accepted upload the overload injector may
-  // replay in this burst.
-  struct ReplaySource {
-    size_t client_id = 0;
-    const ClientObservation* observation = nullptr;
-  };
 
-  // Server ingestion (DESIGN.md §15). The burst is `fresh` in arrival order,
-  // then the injector's at-least-once copies of each, then its replays of
-  // each source's logged upload, ruled on by one Admit call at `now_round`.
-  // A refused fresh upload is marked not completed with the verdict's
-  // reason; an admitted one gets its weight and, under overload faults, is
-  // logged for later replays. An admitted redundant delivery is re-processed
-  // in full: its upload leg is charged as waste and it is returned as an
-  // extra contribution. A refused one costs a tracker record, a dropout
-  // count and one participated=false policy report, nothing more.
-  std::vector<ClientContribution> IngestBurst(uint64_t now_round, std::span<FreshUpload> fresh,
-                                              std::span<const ReplaySource> replays,
-                                              const GlobalObservation& global);
+  // Server ingestion (DESIGN.md §15): the core's AdmitBurst at `now_round`
+  // over `fresh` (selection order) and replays of each `replay_clients`
+  // client, whose refused replays report `replay_observations` at the same
+  // index. A refused fresh upload is marked not completed with the
+  // verdict's reason; an admitted one gets its weight and, under overload
+  // faults, is logged for later replays. An admitted redundant delivery is
+  // re-processed in full: its upload leg is charged as waste and it is
+  // returned as an extra contribution. A refused one costs a tracker
+  // record, a dropout count and one participated=false policy report,
+  // nothing more.
+  std::vector<ClientContribution> IngestBurst(
+      uint64_t now_round, std::span<FreshUpload> fresh, std::span<const size_t> replay_clients,
+      std::span<const ClientObservation> replay_observations, const GlobalObservation& global);
 
   // A salvage candidate: its outcome and the arrival its partial presents at
   // the gate, with the utility of a full update from the client.
@@ -164,9 +145,8 @@ class SurrogateEngine {
 
   // Partial-work salvage (DESIGN.md §16). Keeps the interrupted outcomes
   // (crash, deadline miss, departure, timed-out upload) whose completed
-  // fraction clears min_progress, scales each one's utility by that
-  // fraction, rules on them in one Admit call at `now_round`, and marks the
-  // admitted ones salvaged. Salvage converts already-spent compute: it never
+  // fraction clears min_progress, rules on them through the core's
+  // AdmitPartials at `now_round`, and marks the admitted ones salvaged. Salvage converts already-spent compute: it never
   // extends the round, re-charges communication, or counts toward a close.
   void SalvagePartials(uint64_t now_round, std::span<const PartialUpload> partials);
 
@@ -175,35 +155,21 @@ class SurrogateEngine {
   // breakdown and the retry cooldown. `round` keys the guard and cooldown.
   void BookOutcome(Client& client, const ClientRoundOutcome& outcome, size_t round);
 
+  // A run both surrogate payloads write in this order: the quarantine count,
+  // the dropout breakdown and the accuracy history. `edge_orphaned` is false
+  // for the async payload, which has no orphan count.
+  void SaveOutcomeBooks(CheckpointWriter& w, bool edge_orphaned) const;
+  void LoadOutcomeBooks(CheckpointReader& r, bool edge_orphaned);
+
   ExperimentConfig config_;
-  TuningPolicy* policy_;
-  // Work pool for the per-client simulation fan-out; null when num_threads
-  // resolves to 1 (fully sequential path).
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<Client> clients_;
   PopulationReference reference_;
   std::unique_ptr<SurrogateAccuracyModel> surrogate_;
   ResourceAccountant accountant_;
   ParticipationTracker tracker_;
-  FaultInjector injector_;
-  AggregationTracker agg_tracker_;
-  // Lossy transport and its accounting (DESIGN.md §10); disabled (and the
-  // engine byte-identical to the plain cost-model path) by default.
-  Transport transport_;
-  TransportTracker transport_tracker_;
-  // Self-healing guard (DESIGN.md §11); a disabled guard is a strict no-op.
-  TrainingGuard guard_;
-  // Server-ingestion admission layer and its fault side (DESIGN.md §15);
-  // both disabled (and the engine byte-identical) by default.
-  OverloadInjector overload_;
-  AdmissionController admission_;
-  AdmissionTracker admission_tracker_;
-  UpdateLog update_log_;
   // Wire volume of duplicate/replay deliveries the server fully
   // re-processed (zero when the admission gate rejected them at ingress).
   double redundant_mb_ = 0.0;
-  RecoveryTracker recovery_tracker_;
-  SalvageTracker salvage_tracker_;
   DropoutBreakdown dropout_breakdown_;
   size_t rejected_updates_ = 0;
   std::vector<double> accuracy_history_;

@@ -12,14 +12,10 @@
 #include <vector>
 
 #include "src/failure/checkpoint_io.h"
-#include "src/failure/edge_fault_injector.h"
 #include "src/fl/surrogate_engine.h"
-#include "src/metrics/topology_tracker.h"
 #include "src/net/adaptive_deadline.h"
-#include "src/net/transport.h"
 #include "src/salvage/speculative_scheduler.h"
 #include "src/selection/selector.h"
-#include "src/topology/aggregation_tree.h"
 
 namespace floatfl {
 
@@ -35,8 +31,6 @@ class SyncEngine : public SurrogateEngine {
   // Runs a single round (exposed for tests and the fine-tuning benches).
   void RunRound(size_t round);
 
-  ExperimentResult Snapshot() const;
-
   std::vector<Client>& clients() { return clients_; }
   double now() const { return now_s_; }
 
@@ -49,11 +43,7 @@ class SyncEngine : public SurrogateEngine {
                                     TechniqueKind technique, const FaultDecision& fault) const;
 
   size_t RoundsRun() const { return rounds_run_; }
-  const FaultInjector& injector() const { return injector_; }
   const AdaptiveDeadlineController& deadline_controller() const { return deadline_ctrl_; }
-  const EdgeFaultInjector& edge_injector() const { return edge_injector_; }
-  const AggregationTree& tree() const { return tree_; }
-  const TopologyTracker& topology_tracker() const { return topo_tracker_; }
   // The backup planner (DESIGN.md §16).
   const SpeculativeScheduler& speculative_scheduler() const { return scheduler_; }
   // The deadline governing the current round: the static configured value,
@@ -69,14 +59,7 @@ class SyncEngine : public SurrogateEngine {
  private:
   Selector* selector_;
   AdaptiveDeadlineController deadline_ctrl_;
-  // Hierarchical aggregation tree (DESIGN.md §13); disabled (star topology,
-  // byte-identical engine) by default. The edge transport carries the
-  // edge -> root partial-aggregate uploads; the edge deadline controller
-  // re-plans the root's patience over per-edge round times.
-  EdgeFaultInjector edge_injector_;
-  AggregationTree tree_;
-  TopologyTracker topo_tracker_;
-  Transport edge_transport_;
+  // Re-plans the root's patience over per-edge round times (DESIGN.md §13).
   AdaptiveDeadlineController edge_deadline_ctrl_;
   // Speculative re-execution planner (DESIGN.md §16); a no-op by default.
   SpeculativeScheduler scheduler_;

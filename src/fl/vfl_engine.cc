@@ -71,6 +71,7 @@ VflEngine::VflEngine(const VflConfig& config)
       rng_(config.seed) {
   FLOATFL_CHECK(config.num_parties >= 2);
   FLOATFL_CHECK(config.features_per_party > 0);
+  ValidateFaultConfig(config_.faults);
   ValidateGuardConfig(config_.guard);
   guard_ = TrainingGuard(config_.guard);
 
