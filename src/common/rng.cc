@@ -39,6 +39,12 @@ uint64_t Rng::NextU64() {
   return result;
 }
 
+void Rng::Discard(uint64_t n) {
+  for (uint64_t i = 0; i < n; ++i) {
+    NextU64();
+  }
+}
+
 double Rng::NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
@@ -91,13 +97,21 @@ double Rng::Exponential(double mean) {
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  FLOATFL_CHECK(!weights.empty());
+  return WeightedIndex(weights, WeightTotal(weights));
+}
+
+double Rng::WeightTotal(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) {
     if (w > 0.0) {
       total += w;
     }
   }
+  return total;
+}
+
+size_t Rng::WeightedIndex(const std::vector<double>& weights, double total) {
+  FLOATFL_CHECK(!weights.empty());
   if (total <= 0.0) {
     return static_cast<size_t>(UniformInt(weights.size()));
   }

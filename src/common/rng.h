@@ -22,6 +22,10 @@ class Rng {
   // Uniform over the full 64-bit range.
   uint64_t NextU64();
 
+  // Advances the stream past n NextU64 draws, leaving the Box–Muller cache
+  // as it is: the state n NextU64 calls would leave.
+  void Discard(uint64_t n);
+
   // Uniform in [0, 1).
   double NextDouble();
 
@@ -51,6 +55,11 @@ class Rng {
   // Non-positive weights are treated as zero; if all weights are zero the
   // index is uniform.
   size_t WeightedIndex(const std::vector<double>& weights);
+  // The same draw, given WeightTotal(weights): for many draws from one
+  // distribution.
+  size_t WeightedIndex(const std::vector<double>& weights, double total);
+  // The sum of the positive weights, in index order.
+  static double WeightTotal(const std::vector<double>& weights);
 
   // Samples from a symmetric Dirichlet distribution with concentration
   // `alpha` over `k` categories (via Gamma(alpha, 1) marginals).

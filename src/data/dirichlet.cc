@@ -21,8 +21,9 @@ std::vector<ClientShard> PartitionDirichlet(const PartitionConfig& config, Rng& 
     ClientShard shard;
     shard.class_counts.assign(config.num_classes, 0);
     // Multinomial draw via sequential weighted sampling.
+    const double total = Rng::WeightTotal(dist);
     for (size_t s = 0; s < n; ++s) {
-      const size_t k = rng.WeightedIndex(dist);
+      const size_t k = rng.WeightedIndex(dist, total);
       ++shard.class_counts[k];
     }
     shard.total = n;

@@ -270,6 +270,7 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // delivers a poisoned tensor.
   std::vector<ProcessedUpdate> processed(k);
   std::vector<uint8_t> delivered(k, 1);
+  std::vector<uint8_t> valid(k, 0);
   std::vector<TransferResult> transfers(k);
   ParallelFor(pool_.get(), k, [&](size_t i) {
     if (tree_on && tree_.EffectiveEdge(order[i]) == AggregationTree::kOrphaned) {
@@ -292,8 +293,10 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     }
     const size_t id = order[i];
     Rng client_rng = client_stream_root_.ForkKeyed(Rng::StreamKey(round, id));
-    Mlp local(model_dims_, client_rng);
-    local.SetParameters(global_params);
+    // A copy of the global model. SGD draws start past a fresh model's init
+    // draws, the stream positions the recorded goldens were made with.
+    Mlp local = *global_;
+    client_rng.Discard(Mlp::InitDraws(model_dims_));
     SgdConfig sgd = config_.sgd;
     sgd.frozen_layers = frozen_layers[i];
     if (interrupted) {
@@ -312,6 +315,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
       // fresh upload transfer happens on its behalf.
       return;
     }
+    // Server-side validation of the update as it arrives, computed here so
+    // that phase 3 only reads the verdict.
+    valid[i] = ValidRealUpdate(processed[i].params, config_.faults.reject_norm_threshold);
     if (transport_.enabled()) {
       // Lossy upload delivery over the *actual* serialized size, so heavier
       // uploads chunk into more loss draws. The engine has no wall clock;
@@ -324,8 +330,9 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     }
   });
 
-  // Phase 3 (sequential, selection order): server-side validation, then a
-  // fixed-order reduction through the configured aggregator.
+  // Phase 3 (sequential, selection order): server-side rulings on phase 2's
+  // validation verdicts, then a fixed-order reduction through the configured
+  // aggregator.
   std::vector<std::vector<float>> updates;
   std::vector<double> weights;
   RealRoundStats stats;
@@ -463,7 +470,7 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         continue;
       }
     }
-    if (!ValidRealUpdate(processed[i].params, config_.faults.reject_norm_threshold)) {
+    if (!valid[i]) {
       ++stats.rejected_updates;
       reasons[i] = DropoutReason::kCorrupted;
       continue;

@@ -28,6 +28,14 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   }
 }
 
+uint64_t Mlp::InitDraws(const std::vector<size_t>& dims) {
+  uint64_t draws = 0;
+  for (size_t i = 0; i + 1 < dims.size(); ++i) {
+    draws += dims[i] * dims[i + 1];
+  }
+  return draws;
+}
+
 Tensor Mlp::Forward(const Tensor& input) {
   Tensor x = layers_.front().Forward(input);
   for (size_t i = 1; i < layers_.size(); ++i) {

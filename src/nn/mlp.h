@@ -8,6 +8,7 @@
 #define SRC_NN_MLP_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/nn/layers.h"
@@ -23,6 +24,9 @@ class Mlp {
   // dims = {input, hidden..., classes}. All hidden layers use ReLU; the last
   // layer is linear (logits).
   Mlp(const std::vector<size_t>& dims, Rng& rng);
+
+  // The NextU64 draws that constructor takes from `rng`: one per weight.
+  static uint64_t InitDraws(const std::vector<size_t>& dims);
 
   Tensor Forward(const Tensor& input);
   // Forward's output without caching anything: safe to call concurrently.

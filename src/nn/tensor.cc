@@ -5,6 +5,7 @@
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/nn/kernels.h"
 
 namespace floatfl {
 
@@ -39,59 +40,15 @@ float Tensor::At(size_t r, size_t c) const {
 Tensor Tensor::MatMul(const Tensor& other) const {
   FLOATFL_CHECK(cols_ == other.rows_);
   Tensor out(rows_, other.cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t k = 0; k < cols_; ++k) {
-      const float a = data_[i * cols_ + k];
-      if (a == 0.0f) {
-        continue;
-      }
-      const float* brow = &other.data_[k * other.cols_];
-      float* orow = &out.data_[i * other.cols_];
-      for (size_t j = 0; j < other.cols_; ++j) {
-        orow[j] += a * brow[j];
-      }
-    }
-  }
+  ActiveKernels().mat_mul(data(), other.data(), out.data(), rows_, cols_, other.cols_);
   return out;
 }
 
 Tensor Tensor::MatMulTransposed(const Tensor& other) const {
   FLOATFL_CHECK(cols_ == other.cols_);
-  // out(i, j) is the dot product of row i of this and row j of other, summed
-  // in k order from 0.0f. A serial float sum cannot vectorize, so this (the
-  // small batch x k operand) is transposed once, padded with zero rows to
-  // whole blocks of kLanes, and each block of outputs is built as axpys
-  // across the batch in registers. The lanes are independent outputs, each
-  // still adding its products in k order without skipping zeros; padding
-  // lanes are dropped.
-  constexpr size_t kLanes = 8;
-  const size_t batch = rows_;
-  const size_t depth = cols_;
-  const size_t padded = (batch + kLanes - 1) / kLanes * kLanes;
-  std::vector<float> transposed(depth * padded, 0.0f);
-  for (size_t i = 0; i < batch; ++i) {
-    for (size_t k = 0; k < depth; ++k) {
-      transposed[k * padded + i] = data_[i * depth + k];
-    }
-  }
-  Tensor out(batch, other.rows_);
-  for (size_t i0 = 0; i0 < batch; i0 += kLanes) {
-    const size_t lanes = std::min(kLanes, batch - i0);
-    for (size_t j = 0; j < other.rows_; ++j) {
-      float acc[kLanes] = {};
-      const float* brow = &other.data_[j * depth];
-      for (size_t k = 0; k < depth; ++k) {
-        const float b = brow[k];
-        const float* arow = &transposed[k * padded + i0];
-        for (size_t l = 0; l < kLanes; ++l) {
-          acc[l] += arow[l] * b;
-        }
-      }
-      for (size_t l = 0; l < lanes; ++l) {
-        out.data_[(i0 + l) * other.rows_ + j] = acc[l];
-      }
-    }
-  }
+  Tensor out(rows_, other.rows_);
+  ActiveKernels().mat_mul_transposed(data(), other.data(), out.data(), rows_, cols_,
+                                     other.rows_);
   return out;
 }
 
@@ -103,20 +60,7 @@ Tensor Tensor::TransposedMatMul(const Tensor& other) const {
 
 void Tensor::AddTransposedMatMul(const Tensor& a, const Tensor& b) {
   FLOATFL_CHECK(a.rows_ == b.rows_ && rows_ == a.cols_ && cols_ == b.cols_);
-  for (size_t k = 0; k < a.rows_; ++k) {
-    const float* arow = &a.data_[k * a.cols_];
-    const float* brow = &b.data_[k * b.cols_];
-    for (size_t i = 0; i < a.cols_; ++i) {
-      const float x = arow[i];
-      if (x == 0.0f) {
-        continue;
-      }
-      float* orow = &data_[i * cols_];
-      for (size_t j = 0; j < cols_; ++j) {
-        orow[j] += x * brow[j];
-      }
-    }
-  }
+  ActiveKernels().add_transposed_mat_mul(a.data(), b.data(), data(), a.rows_, a.cols_, b.cols_);
 }
 
 void Tensor::AddInPlace(const Tensor& other) {

@@ -35,6 +35,9 @@ class Tensor {
   std::vector<float>& flat() { return data_; }
   const std::vector<float>& flat() const { return data_; }
 
+  // The three products run the widest kernels the CPU supports; each sums
+  // every output in a fixed order with a fixed zero rule, whichever runs
+  // (src/nn/kernels.h).
   // out = this * other  (matrix product). Dimensions must agree.
   Tensor MatMul(const Tensor& other) const;
   // out = this * other^T.

@@ -110,6 +110,40 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
 }
 
+TEST(RngTest, DiscardMatchesNextU64CallsAndKeepsTheNormalCache) {
+  for (uint64_t n : {0u, 1u, 7u, 50432u}) {
+    Rng discarded(61);
+    Rng drawn(61);
+    // One Normal() leaves the second Box-Muller value cached.
+    EXPECT_EQ(discarded.Normal(), drawn.Normal());
+    discarded.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) {
+      drawn.NextU64();
+    }
+    EXPECT_EQ(discarded.SaveRaw(), drawn.SaveRaw()) << n;
+    EXPECT_EQ(discarded.SaveRaw()[4], 1u) << n;
+    EXPECT_EQ(discarded.Normal(), drawn.Normal()) << n;
+    EXPECT_EQ(discarded.NextU64(), drawn.NextU64()) << n;
+  }
+}
+
+TEST(RngTest, WeightedIndexWithItsTotalIsTheSameDraw) {
+  const std::vector<double> weights = {0.3, -1.0, 0.0, 2.5, 1e-9, 0.7};
+  const double total = Rng::WeightTotal(weights);
+  EXPECT_EQ(total, 0.3 + 2.5 + 1e-9 + 0.7);
+  Rng a(67);
+  Rng b(67);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(a.WeightedIndex(weights), b.WeightedIndex(weights, total));
+  }
+  // The all-zero fallback draws a uniform index either way.
+  const std::vector<double> zeros(5, 0.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(a.WeightedIndex(zeros), b.WeightedIndex(zeros, Rng::WeightTotal(zeros)));
+  }
+  EXPECT_EQ(a.SaveRaw(), b.SaveRaw());
+}
+
 TEST(RngTest, WeightedIndexProportional) {
   Rng rng(23);
   const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};

@@ -24,6 +24,18 @@ TEST(MlpTest, ParamCountMatchesArchitecture) {
   EXPECT_EQ(net.NumLayers(), 2u);
 }
 
+// The real engine skips a client's throwaway model init with
+// Rng::Discard(InitDraws(dims)); that must be exactly the constructor's draws.
+TEST(MlpTest, InitDrawsAreTheConstructorsDraws) {
+  const std::vector<size_t> dims = {64, 256, 128, 10};
+  EXPECT_EQ(Mlp::InitDraws(dims), 64u * 256 + 256u * 128 + 128u * 10);
+  Rng constructed(71);
+  Rng discarded(71);
+  const Mlp model(dims, constructed);
+  discarded.Discard(Mlp::InitDraws(dims));
+  EXPECT_EQ(constructed.SaveRaw(), discarded.SaveRaw());
+}
+
 TEST(MlpTest, GetSetParametersRoundTrip) {
   Rng rng(2);
   Mlp a({5, 7, 2}, rng);

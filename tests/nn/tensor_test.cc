@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/nn/kernels.h"
 
 namespace floatfl {
 namespace {
@@ -135,6 +138,42 @@ TEST(TensorTest, GlorotUniformWithinLimit) {
   EXPECT_GT(t.L2Norm(), 0.0);
 }
 
+// The loops the kernels replaced survive here as their oracles.
+
+// MatMul's zero-skipping axpy: out(i, j) summed in k order from 0.0f,
+// skipping every k with a(i, k) == 0.
+Tensor AxpyMatMulOracle(const Tensor& a, const Tensor& b) {
+  Tensor out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      const float x = a.At(i, k);
+      if (x == 0.0f) {
+        continue;
+      }
+      for (size_t j = 0; j < b.cols(); ++j) {
+        out.At(i, j) += x * b.At(k, j);
+      }
+    }
+  }
+  return out;
+}
+
+// AddTransposedMatMul's in-place axpy: out(i, j) += a(k, i) * b(k, j) in k
+// order, skipping every k with a(k, i) == 0.
+void AxpyAddTransposedMatMulOracle(Tensor& out, const Tensor& a, const Tensor& b) {
+  for (size_t k = 0; k < a.rows(); ++k) {
+    for (size_t i = 0; i < a.cols(); ++i) {
+      const float x = a.At(k, i);
+      if (x == 0.0f) {
+        continue;
+      }
+      for (size_t j = 0; j < b.cols(); ++j) {
+        out.At(i, j) += x * b.At(k, j);
+      }
+    }
+  }
+}
+
 // The dot product MatMulTransposed used to compute: out(i, j) summed in k
 // order from 0.0f, no zero skipped.
 Tensor DotProductOracle(const Tensor& a, const Tensor& b) {
@@ -177,6 +216,20 @@ Tensor SpecialValueTensor(size_t rows, size_t cols, Rng& rng) {
   return t;
 }
 
+// Zeroes about half of the entries, as ReLU does to a hidden layer's output.
+// Some become -0.0, which the zero skip must treat like +0.0.
+void ZeroHalf(Tensor& t, Rng& rng) {
+  for (float& x : t.flat()) {
+    if (rng.NextDouble() < 0.5) {
+      x = rng.NextDouble() < 0.25 ? -0.0f : 0.0f;
+    }
+  }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.SameShape(b) && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
 TEST(TensorTest, MatMulTransposedMatchesDotProductOracleBitForBit) {
   // {batch, depth, outputs}: a is batch x depth, b is outputs x depth.
   const size_t shapes[][3] = {{1, 1, 1}, {20, 10, 128}, {20, 256, 64}, {33, 257, 17}};
@@ -212,6 +265,154 @@ TEST(TensorTest, AddTransposedMatMulIntoZerosMatchesAddingTheProduct) {
   Tensor accumulated(64, 33);
   accumulated.AddTransposedMatMul(a, b);
   EXPECT_EQ(std::memcmp(accumulated.data(), added.data(), added.size() * sizeof(float)), 0);
+}
+
+const char* LevelName(KernelLevel level) {
+  switch (level) {
+    case KernelLevel::kBaseline:
+      return "baseline";
+    case KernelLevel::kX86_64_V3:
+      return "x86-64-v3";
+    case KernelLevel::kX86_64_V4:
+      return "x86-64-v4";
+  }
+  return "unknown";
+}
+
+// Each kernel variant the host runs, called directly rather than through the
+// dispatch, against the loops it replaced, compared bit for bit. Operands
+// carry signed zeros, subnormals, infinities and NaN at the real engine's
+// shapes (batch 20, a 64-256-128-10 MLP, 64-row evaluate blocks) and at tails
+// that no whole block of columns or rows covers.
+class KernelVariantTest : public ::testing::TestWithParam<KernelLevel> {
+ protected:
+  void SetUp() override {
+    kernels_ = KernelsFor(GetParam());
+    if (kernels_ == nullptr) {
+      GTEST_SKIP() << LevelName(GetParam())
+                   << " kernels: not built for this target or not run by this CPU";
+    }
+  }
+
+  struct Shape {
+    size_t rows, depth, cols;
+    bool half_zero;  // the left operand as after a ReLU
+  };
+
+  const MatMulKernels* kernels_ = nullptr;
+};
+
+TEST_P(KernelVariantTest, MatMulMatchesAxpyOracleBitForBit) {
+  EXPECT_STREQ(kernels_->name, LevelName(GetParam()));
+  const Shape shapes[] = {{20, 64, 256, false}, {20, 256, 128, true}, {20, 128, 10, true},
+                          {64, 64, 256, false}, {64, 256, 128, true}, {64, 128, 10, true},
+                          {1, 1, 1, false},     {33, 257, 65, true},  {20, 64, 130, false}};
+  Rng rng(47);
+  size_t finite = 0;
+  size_t nonfinite = 0;
+  for (const Shape& shape : shapes) {
+    Tensor a = SpecialValueTensor(shape.rows, shape.depth, rng);
+    if (shape.half_zero) {
+      ZeroHalf(a, rng);
+    }
+    const Tensor b = SpecialValueTensor(shape.depth, shape.cols, rng);
+    Tensor got(shape.rows, shape.cols, 1.0f);
+    kernels_->mat_mul(a.data(), b.data(), got.data(), shape.rows, shape.depth, shape.cols);
+    const Tensor want = AxpyMatMulOracle(a, b);
+    EXPECT_TRUE(SameBits(got, want)) << shape.rows << "x" << shape.depth << " -> " << shape.cols;
+    for (float x : want.flat()) {
+      ++(std::isfinite(x) ? finite : nonfinite);
+    }
+  }
+  EXPECT_GT(finite, 10000u);
+  EXPECT_GT(nonfinite, 1000u);
+}
+
+TEST_P(KernelVariantTest, AddTransposedMatMulMatchesAxpyOracleBitForBit) {
+  // {batch, depth, cols}: a is batch x depth, b batch x cols, the gradient
+  // depth x cols.
+  const Shape shapes[] = {{20, 64, 256, false}, {20, 256, 128, true}, {20, 128, 10, true},
+                          {1, 1, 1, false},     {33, 257, 65, true},  {20, 64, 130, false}};
+  volatile float zero = 0.0f;
+  const float nan = std::numeric_limits<float>::infinity() * zero;
+  const float held[] = {-0.0f, std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(), nan};
+  Rng rng(53);
+  for (const Shape& shape : shapes) {
+    Tensor a = SpecialValueTensor(shape.rows, shape.depth, rng);
+    if (shape.half_zero) {
+      ZeroHalf(a, rng);
+    }
+    // Column 0 of a is all zeros, so row 0 of the gradient must keep its
+    // bits whatever they are.
+    for (size_t k = 0; k < shape.rows; ++k) {
+      a.At(k, 0) = k % 2 == 0 ? 0.0f : -0.0f;
+    }
+    const Tensor b = SpecialValueTensor(shape.rows, shape.cols, rng);
+    // A gradient already holding -0.0, +-inf and NaN among finite values.
+    Tensor start = SpecialValueTensor(shape.depth, shape.cols, rng);
+    for (size_t j = 0; j < start.size(); j += 3) {
+      start.flat()[j] = held[(j / 3) % 4];
+    }
+    Tensor got = start;
+    kernels_->add_transposed_mat_mul(a.data(), b.data(), got.data(), shape.rows, shape.depth,
+                                     shape.cols);
+    Tensor want = start;
+    AxpyAddTransposedMatMulOracle(want, a, b);
+    EXPECT_TRUE(SameBits(got, want)) << shape.rows << "x" << shape.depth << " -> " << shape.cols;
+    EXPECT_EQ(std::memcmp(got.data(), start.data(), shape.cols * sizeof(float)), 0)
+        << "a zero input changed the gradient, " << shape.rows << "x" << shape.depth << " -> "
+        << shape.cols;
+  }
+}
+
+TEST_P(KernelVariantTest, MatMulTransposedMatchesDotProductOracleBitForBit) {
+  // {rows, depth, outputs}: a is rows x depth, b outputs x depth. The real
+  // engine's input gradients are 20x10 -> 128 and 20x128 -> 256.
+  const Shape shapes[] = {{20, 10, 128, false}, {20, 128, 256, true}, {20, 64, 256, false},
+                          {64, 128, 10, false}, {1, 1, 1, false},     {33, 257, 65, true},
+                          {20, 64, 130, false}};
+  Rng rng(59);
+  size_t finite = 0;
+  size_t nonfinite = 0;
+  for (const Shape& shape : shapes) {
+    Tensor a = SpecialValueTensor(shape.rows, shape.depth, rng);
+    if (shape.half_zero) {
+      ZeroHalf(a, rng);
+    }
+    const Tensor b = SpecialValueTensor(shape.cols, shape.depth, rng);
+    Tensor got(shape.rows, shape.cols, 1.0f);
+    kernels_->mat_mul_transposed(a.data(), b.data(), got.data(), shape.rows, shape.depth,
+                                 shape.cols);
+    const Tensor want = DotProductOracle(a, b);
+    EXPECT_TRUE(SameBits(got, want)) << shape.rows << "x" << shape.depth << " -> " << shape.cols;
+    for (float x : want.flat()) {
+      ++(std::isfinite(x) ? finite : nonfinite);
+    }
+  }
+  EXPECT_GT(finite, 10000u);
+  EXPECT_GT(nonfinite, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, KernelVariantTest,
+                         ::testing::Values(KernelLevel::kBaseline, KernelLevel::kX86_64_V3,
+                                           KernelLevel::kX86_64_V4),
+                         [](const ::testing::TestParamInfo<KernelLevel>& level) {
+                           std::string name = LevelName(level.param);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+// Tensor's products run the widest variant the CPU supports.
+TEST(TensorTest, DispatchPicksTheWidestSupportedKernels) {
+  const MatMulKernels* widest = KernelsFor(KernelLevel::kBaseline);
+  for (KernelLevel level : {KernelLevel::kX86_64_V3, KernelLevel::kX86_64_V4}) {
+    if (const MatMulKernels* kernels = KernelsFor(level)) {
+      widest = kernels;
+    }
+  }
+  ASSERT_NE(widest, nullptr);
+  EXPECT_EQ(&ActiveKernels(), widest) << "dispatched " << ActiveKernels().name;
 }
 
 }  // namespace
