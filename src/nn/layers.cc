@@ -63,10 +63,12 @@ Tensor DenseLayer::Infer(const Tensor& input) const {
 void DenseLayer::MaskAndAccumulate(Tensor& grad) {
   if (relu_) {
     FLOATFL_CHECK(grad.SameShape(last_pre_activation_));
-    for (size_t i = 0; i < grad.flat().size(); ++i) {
-      if (last_pre_activation_.flat()[i] <= 0.0f) {
-        grad.flat()[i] = 0.0f;
-      }
+    // A select, not a branch: about half the units are off, in no pattern a
+    // branch predictor can learn.
+    float* g = grad.data();
+    const float* pre = last_pre_activation_.data();
+    for (size_t i = 0; i < grad.size(); ++i) {
+      g[i] = pre[i] <= 0.0f ? 0.0f : g[i];
     }
   }
   grad_w_.AddTransposedMatMul(last_input_, grad);
