@@ -583,5 +583,131 @@ TEST(StagePinTest, IngressStormDigests) {
   }
 }
 
+// Tree pins: the edge tier as none of the storms above runs it. Four edges,
+// crashing one round in ten, half of them Byzantine in one mode per pin, and
+// a lossy inter-tier link with one retry. Scaled replacement runs at a
+// scale the root's validation rejects; sign-flip and Gaussian noise stay in
+// band, so their partials reach the root.
+struct EdgeAttack {
+  ByzantineMode mode;
+  double scale;
+};
+
+constexpr EdgeAttack kEdgeAttacks[] = {
+    {ByzantineMode::kSignFlip, 3.0},
+    {ByzantineMode::kScaledReplacement, 1e5},
+    {ByzantineMode::kGaussianNoise, 3.0},
+};
+
+void ArmEdgeTier(TopologyConfig& topology, const EdgeAttack& attack, double link_loss_prob) {
+  topology.num_edges = 4;
+  topology.edge_crash_prob = 0.1;
+  topology.edge_byzantine_mode = attack.mode;
+  topology.edge_byzantine_fraction = 0.5;
+  topology.edge_byzantine_scale = attack.scale;
+  topology.edge_link_loss_prob = link_loss_prob;
+  topology.edge_max_retries = 1;
+}
+
+// The sync tree adds the root's patience (an adaptive deadline over edge
+// times and edge over-selection) and the adaptive round deadline; salvaged
+// partials enter the tree beside the completed uploads. The small model
+// lets an offline client's download attempt end within a second.
+ExperimentConfig SyncTreeConfig(const EdgeAttack& attack) {
+  ExperimentConfig config;
+  config.num_clients = 40;
+  config.clients_per_round = 12;
+  config.rounds = 60;
+  config.seed = 5150;
+  config.model = ModelId::kSpeechCnn;
+  config.interference = InterferenceScenario::kDynamic;
+  config.adaptive_deadline.enabled = true;
+  config.faults.crash_prob = 0.1;
+  config.aggregator.kind = AggregatorKind::kKrum;
+  config.guard.enabled = true;
+  config.salvage.enabled = true;
+  ArmEdgeTier(config.topology, attack, 0.1);
+  config.topology.edge_overcommit = 2.0;
+  config.topology.edge_adaptive_deadline.enabled = true;
+  config.topology.edge_adaptive_deadline.headroom = 1.5;
+  return config;
+}
+
+// The real tree folds into a FedAvg root. Uploads ride a lossy link in small
+// chunks, so timed-out uploads leave acked prefixes to salvage; replays are
+// admitted at a staleness-discounted weight; and the guard refuses to
+// snapshot a round that lost an update in the tree.
+RealFlConfig RealTreeConfig(const EdgeAttack& attack) {
+  RealFlConfig config;
+  config.num_clients = 24;
+  config.clients_per_round = 12;
+  config.num_classes = 3;
+  config.input_dim = 16;
+  config.hidden_dims = {32};
+  config.test_samples_per_class = 10;
+  config.seed = 404;
+  config.num_threads = 1;
+  config.faults.crash_prob = 0.2;
+  config.faults.chunk_loss_prob = 0.3;
+  config.faults.transport_chunk_mb = 0.0005;
+  config.faults.max_transfer_retries = 1;
+  config.faults.replay_prob = 0.5;
+  config.admission.staleness_downweight = true;
+  config.guard.enabled = true;
+  config.guard.min_snapshot_coverage = 1.0;
+  config.salvage.enabled = true;
+  ArmEdgeTier(config.topology, attack, 0.3);
+  return config;
+}
+
+TEST(StagePinTest, SyncTreeDigests) {
+  constexpr uint64_t kExpected[] = {0x57245c8a2ec3c6f8ULL, 0xf4ebd96c5938ff93ULL,
+                                   0x8644d3000dfb4994ULL};
+  for (size_t m = 0; m < 3; ++m) {
+    SCOPED_TRACE(testing::Message() << "edge mode " << static_cast<int>(kEdgeAttacks[m].mode));
+    const ExperimentConfig config = SyncTreeConfig(kEdgeAttacks[m]);
+    ExpectPin(SyncPin(config), kExpected[m]);
+    // Premise: every step of the edge tier acts.
+    RandomSelector selector(config.seed);
+    SyncEngine engine(config, &selector, nullptr);
+    const ExperimentResult r = engine.Run();
+    EXPECT_GT(r.tampered_partials, 0u);
+    EXPECT_GT(r.partials_lost, 0u);
+    EXPECT_GT(r.late_partials, 0u);
+    EXPECT_GT(r.partials_salvaged, 0u);
+    if (kEdgeAttacks[m].mode == ByzantineMode::kScaledReplacement) {
+      EXPECT_GT(r.tampered_rejections, 0u);
+    }
+  }
+}
+
+TEST(StagePinTest, RealTreeDigests) {
+  constexpr uint64_t kExpected[][2] = {{0x2c6bbc6fce74066eULL, 0x3fc65828f6f945e8ULL},
+                                      {0x71ca7d1bc14571f7ULL, 0x121942e4eb982bc6ULL},
+                                      {0x6137bfc5067e8efcULL, 0x36ccc757ba813dfcULL}};
+  for (size_t m = 0; m < 3; ++m) {
+    SCOPED_TRACE(testing::Message() << "edge mode " << static_cast<int>(kEdgeAttacks[m].mode));
+    const RealFlConfig config = RealTreeConfig(kEdgeAttacks[m]);
+    std::vector<RealRoundStats> stats;
+    ExpectPin(RealStatsPin(config, &stats), kExpected[m][0]);
+    ExpectPin(RealPin(config), kExpected[m][1]);
+    // Premise: every step of the edge tier acts.
+    size_t tampered = 0;
+    size_t lost = 0;
+    size_t rejected = 0;
+    size_t salvaged = 0;
+    for (const RealRoundStats& s : stats) {
+      tampered += s.tampered_partials;
+      lost += s.partials_lost;
+      rejected += s.tampered_rejections;
+      salvaged += s.partials_salvaged;
+    }
+    EXPECT_GT(tampered, 0u);
+    EXPECT_GT(lost, 0u);
+    EXPECT_GT(salvaged, 0u);
+    EXPECT_EQ(rejected > 0, kEdgeAttacks[m].mode == ByzantineMode::kScaledReplacement);
+  }
+}
+
 }  // namespace
 }  // namespace floatfl
