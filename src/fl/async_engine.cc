@@ -213,10 +213,8 @@ void AsyncEngine::StepOnce() {
   }
   BookOutcome(client, outcome, version_);
   if (policy_ != nullptr) {
-    const double client_accuracy_credit = guard_.SanitizeReward(
-        last_accuracy_delta_ * (1.0 - EffectOf(flight.technique).accuracy_impact));
     policy_->Report(flight.client_id, flight.observation, global, flight.technique,
-                    outcome.completed, client_accuracy_credit);
+                    outcome.completed, PolicyCredit(last_accuracy_delta_, flight.technique));
   }
 
   if (buffer_.size() >= config_.async_buffer) {
@@ -233,23 +231,17 @@ void AsyncEngine::StepOnce() {
     // happened; snapshot on improvement, roll the surrogate / reward state /
     // policy back to the last known good version on divergence. Runs before
     // the version bump so the restored accuracy is what the history records.
-    {
-      HealthSignal health;
-      health.metric = surrogate_->GlobalAccuracy();
-      health.loss = 1.0 - health.metric;
-      guard_.EndRound(
-          version_, health,
-          [this](CheckpointWriter& w) {
-            surrogate_->SaveState(w);
-            w.F64(last_accuracy_delta_);
-            SavePolicy(w);
-          },
-          [this](CheckpointReader& r) {
-            surrogate_->LoadState(r);
-            last_accuracy_delta_ = r.F64();
-            LoadPolicy(r);
-          });
-    }
+    const double metric = surrogate_->GlobalAccuracy();
+    CloseRound(
+        version_, {.metric = metric, .loss = 1.0 - metric},
+        [this](CheckpointWriter& w) {
+          surrogate_->SaveState(w);
+          w.F64(last_accuracy_delta_);
+        },
+        [this](CheckpointReader& r) {
+          surrogate_->LoadState(r);
+          last_accuracy_delta_ = r.F64();
+        });
 
     ++version_;
     accuracy_history_.push_back(surrogate_->GlobalAccuracy());

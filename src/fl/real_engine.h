@@ -188,10 +188,22 @@ class RealFlEngine : public ServerCore {
     std::vector<float> params;
     size_t upload_bytes = 0;
     double max_error = 0.0;
+    double UploadMb() const { return static_cast<double>(upload_bytes) / (1024.0 * 1024.0); }
   };
   ProcessedUpdate ProcessUpload(std::vector<float> params, TechniqueKind technique) const;
 
   size_t FrozenLayersFor(TechniqueKind technique) const;
+
+  // A client's FedAvg weight: its shard's sample count.
+  double SampleWeight(size_t client_id) const;
+
+  // One selected client's round, defined in real_engine.cc.
+  struct Slot;
+  // Phase 2 of a round for one slot, safe to run in parallel: local
+  // training, upload processing, poisoning or Byzantine rewrite, the salvage
+  // partial of an interrupted run or a timed-out upload, the server's
+  // validation and the lossy delivery.
+  void RunSlot(size_t round, const std::vector<float>& global_params, Slot& slot) const;
 
   // Test accuracy and loss of the global model, from one pass over the test
   // set on the engine's pool.

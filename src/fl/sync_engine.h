@@ -57,6 +57,13 @@ class SyncEngine : public SurrogateEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  // The root's patience over the edges whose partials arrived (DESIGN.md
+  // §13): drops the ones slower than the adaptive edge deadline, then keeps
+  // the first ceil(num_edges / edge_overcommit) by round time. An edge's
+  // round time is that of its slowest completed client in `outcomes`.
+  void ApplyRootPatience(const std::vector<ClientRoundOutcome>& outcomes,
+                         std::vector<size_t>& arrived);
+
   Selector* selector_;
   AdaptiveDeadlineController deadline_ctrl_;
   // Re-plans the root's patience over per-edge round times (DESIGN.md §13).

@@ -24,13 +24,13 @@ class CheckpointReader;
 struct HealthSignal {
   double metric = 0.0;  // higher is better (accuracy-like)
   double loss = 0.0;    // lower is better; only checked for finiteness
-  // Per-tier delivery health (DESIGN.md §13): the fraction of this round's
-  // completed client updates whose contributions actually reached the root
-  // (1.0 on star topologies and when nothing was lost in the tree). Not a
-  // divergence trigger — a starved round can still be metrically "healthy" —
-  // but the guard refuses to snapshot rounds below
-  // GuardConfig::min_snapshot_coverage, so coverage-starved states never
-  // become rollback targets.
+  // Per-tier delivery health (DESIGN.md §13): of the round's updates that
+  // entered the aggregation tree, the fraction that reached the root (1.0 on
+  // star topologies, in rounds where nothing entered the tree, and when
+  // nothing was lost in it). Not a divergence trigger — a starved round can
+  // still be metrically "healthy" — but the guard refuses to snapshot rounds
+  // below GuardConfig::min_snapshot_coverage, so coverage-starved states
+  // never become rollback targets.
   double coverage = 1.0;
 };
 

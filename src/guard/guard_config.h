@@ -37,8 +37,8 @@ struct GuardConfig {
   // Minimum round spacing between snapshots (1 = every improving round).
   size_t snapshot_every = 1;
   // Per-tier health gate (DESIGN.md §13): refuse to snapshot a round whose
-  // HealthSignal::coverage — the fraction of completed client updates that
-  // reached the root through the aggregation tree — is below this. 0 (the
+  // HealthSignal::coverage — the fraction of the updates that entered the
+  // aggregation tree that reached the root — is below this. 0 (the
   // default) disables the gate: every pre-topology golden stays
   // byte-identical.
   double min_snapshot_coverage = 0.0;

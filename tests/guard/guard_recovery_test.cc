@@ -265,5 +265,49 @@ TEST(GuardRecoveryTest, RealRecoveryIsThreadCountInvariant) {
   }
 }
 
+// --- Coverage gate on the sync tree (DESIGN.md §13) ------------------------
+
+// Coverage is the fraction of the round's updates that reached the root, so
+// at min_snapshot_coverage 1.0 a round that lost any update in the tree is
+// never banked. Salvaged partials and admitted duplicates enter the tree
+// beside the completed uploads, and a Byzantine edge's out-of-band partial
+// is rejected at the root, so every way of losing an update is on.
+TEST(GuardRecoveryTest, SyncTreeNeverSnapshotsARoundThatLostAnUpdate) {
+  ExperimentConfig config;
+  config.num_clients = 30;
+  config.clients_per_round = 10;
+  config.rounds = 40;
+  config.seed = 2718;
+  config.faults.crash_prob = 0.2;
+  config.faults.duplicate_prob = 0.3;
+  config.salvage.enabled = true;
+  config.topology.num_edges = 3;
+  config.topology.edge_link_loss_prob = 0.1;
+  config.topology.edge_max_retries = 1;
+  config.topology.edge_overcommit = 1.5;
+  config.topology.edge_byzantine_mode = ByzantineMode::kScaledReplacement;
+  config.topology.edge_byzantine_fraction = 0.3;
+  config.guard.enabled = true;
+  config.guard.min_snapshot_coverage = 1.0;
+  RandomSelector selector(config.seed);
+  SyncEngine engine(config, &selector, nullptr);
+  ExperimentResult before = engine.Snapshot();
+  size_t lossy_rounds = 0;
+  for (size_t round = 0; round < config.rounds; ++round) {
+    engine.RunRound(round);
+    const ExperimentResult after = engine.Snapshot();
+    if (after.partials_lost > before.partials_lost || after.late_partials > before.late_partials ||
+        after.tampered_rejections > before.tampered_rejections) {
+      ++lossy_rounds;
+      EXPECT_EQ(after.guard_snapshots, before.guard_snapshots) << "round " << round;
+    }
+    before = after;
+  }
+  // Premise: the tree lost updates in some rounds and the guard banked others.
+  EXPECT_GT(lossy_rounds, 0u);
+  EXPECT_LT(lossy_rounds, config.rounds);
+  EXPECT_GT(before.guard_snapshots, 0u);
+}
+
 }  // namespace
 }  // namespace floatfl
