@@ -22,52 +22,18 @@ EdgeFaultInjector::EdgeFaultInjector(const TopologyConfig& config, uint64_t seed
       seed_(seed),
       enabled_(config.EdgeFaultsEnabled() || config.EdgeAttacksEnabled()) {
   FLOATFL_CHECK_MSG(num_edges == config.num_edges, "edge injector / topology size mismatch");
-  if (!enabled_) {
-    return;
+  if (enabled_) {
+    chains_ = FlakyChains(seed_, num_edges,
+                          {.eligibility_salt = kEdgeEligibilitySalt,
+                           .flaky_salt = kEdgeFlakySalt,
+                           .byzantine_salt = kEdgeByzantineSalt,
+                           .flaky_fraction = config_.edge_flaky_fraction,
+                           .enter_prob = config_.edge_flaky_enter_prob,
+                           .exit_prob = config_.edge_flaky_exit_prob,
+                           .byzantine_fraction = config_.EdgeAttacksEnabled()
+                                                     ? config_.edge_byzantine_fraction
+                                                     : 0.0});
   }
-  flaky_eligible_.assign(num_edges, 0);
-  flaky_.assign(num_edges, 0);
-  if (config_.edge_flaky_fraction > 0.0) {
-    const Rng root(seed_ ^ kEdgeEligibilitySalt);
-    for (size_t edge = 0; edge < num_edges; ++edge) {
-      Rng stream = root.ForkKeyed(edge);
-      flaky_eligible_[edge] = stream.NextDouble() < config_.edge_flaky_fraction ? 1 : 0;
-    }
-  }
-  if (config_.EdgeAttacksEnabled()) {
-    byzantine_eligible_.assign(num_edges, 0);
-    const Rng root(seed_ ^ kEdgeByzantineSalt);
-    for (size_t edge = 0; edge < num_edges; ++edge) {
-      Rng stream = root.ForkKeyed(edge);
-      byzantine_eligible_[edge] = stream.NextDouble() < config_.edge_byzantine_fraction ? 1 : 0;
-    }
-  }
-}
-
-void EdgeFaultInjector::BeginRound(size_t round) {
-  if (!enabled_ || config_.edge_flaky_fraction <= 0.0) {
-    return;
-  }
-  // One keyed draw per (round, edge) per missing round — the same chain
-  // trajectory regardless of thread count or checkpoint boundaries.
-  const Rng root(seed_ ^ kEdgeFlakySalt);
-  for (size_t r = rounds_advanced_; r <= round; ++r) {
-    for (size_t edge = 0; edge < flaky_.size(); ++edge) {
-      if (!flaky_eligible_[edge]) {
-        continue;
-      }
-      Rng stream = root.ForkKeyed(Rng::StreamKey(r, edge));
-      const double u = stream.NextDouble();
-      if (flaky_[edge]) {
-        if (u < config_.edge_flaky_exit_prob) {
-          flaky_[edge] = 0;
-        }
-      } else if (u < config_.edge_flaky_enter_prob) {
-        flaky_[edge] = 1;
-      }
-    }
-  }
-  rounds_advanced_ = round + 1;
 }
 
 EdgeFaultDecision EdgeFaultInjector::Decide(size_t round, size_t edge) const {
@@ -90,18 +56,6 @@ EdgeFaultDecision EdgeFaultInjector::Decide(size_t round, size_t edge) const {
   // A down edge forwards nothing, so there is nothing to tamper with.
   decision.byzantine = !decision.crash && !decision.blackout && IsByzantineEdge(edge);
   return decision;
-}
-
-bool EdgeFaultInjector::IsFlakyEligible(size_t edge) const {
-  return edge < flaky_eligible_.size() && flaky_eligible_[edge] != 0;
-}
-
-bool EdgeFaultInjector::IsFlaky(size_t edge) const {
-  return edge < flaky_.size() && flaky_[edge] != 0;
-}
-
-bool EdgeFaultInjector::IsByzantineEdge(size_t edge) const {
-  return edge < byzantine_eligible_.size() && byzantine_eligible_[edge] != 0;
 }
 
 Rng EdgeFaultInjector::AttackRng(size_t round, size_t edge) const {
@@ -130,21 +84,6 @@ double EdgeFaultInjector::TamperedQuality(double quality, size_t round, size_t e
     default:
       return quality;
   }
-}
-
-void EdgeFaultInjector::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_advanced_);
-  w.U8Vec(flaky_eligible_);
-  w.U8Vec(flaky_);
-  w.U8Vec(byzantine_eligible_);
-}
-
-bool EdgeFaultInjector::LoadState(CheckpointReader& r) {
-  rounds_advanced_ = r.Size();
-  flaky_eligible_ = r.U8Vec();
-  flaky_ = r.U8Vec();
-  byzantine_eligible_ = r.U8Vec();
-  return r.ok();
 }
 
 }  // namespace floatfl

@@ -17,6 +17,7 @@
 
 #include "src/common/rng.h"
 #include "src/failure/checkpoint_io.h"
+#include "src/failure/flaky_chains.h"
 #include "src/topology/topology_config.h"
 
 namespace floatfl {
@@ -43,18 +44,18 @@ class EdgeFaultInjector {
   // Advances the per-edge flaky Markov chains to `round`. Call once at the
   // start of each round, from sequential code. Safe with non-consecutive
   // rounds after a resume (one (round, edge)-keyed draw per missing round).
-  void BeginRound(size_t round);
+  void BeginRound(size_t round) { chains_.BeginRound(round); }
 
   // Pure draw for one (round, edge): thread-safe, order-independent.
   EdgeFaultDecision Decide(size_t round, size_t edge) const;
 
-  bool IsFlakyEligible(size_t edge) const;
-  bool IsFlaky(size_t edge) const;
+  bool IsFlakyEligible(size_t edge) const { return chains_.IsFlakyEligible(edge); }
+  bool IsFlaky(size_t edge) const { return chains_.IsFlaky(edge); }
 
   // True when edge attacks are configured and `edge` belongs to the seeded
   // tampering fraction (drawn once at construction). Byzantine edges tamper
   // in every round they are up.
-  bool IsByzantineEdge(size_t edge) const;
+  bool IsByzantineEdge(size_t edge) const { return chains_.IsByzantine(edge); }
 
   // Independent per-(round, edge) stream for tampering randomness.
   Rng AttackRng(size_t round, size_t edge) const;
@@ -68,18 +69,15 @@ class EdgeFaultInjector {
   // of band, sometimes slipping through).
   double TamperedQuality(double quality, size_t round, size_t edge) const;
 
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { chains_.SaveState(w); }
+  bool LoadState(CheckpointReader& r) { return chains_.LoadState(r); }
 
  private:
   TopologyConfig config_;
   uint64_t seed_ = 0;
   bool enabled_ = false;
-  // Next round BeginRound expects (chains advanced up to rounds_advanced_).
-  size_t rounds_advanced_ = 0;
-  std::vector<uint8_t> flaky_eligible_;
-  std::vector<uint8_t> flaky_;
-  std::vector<uint8_t> byzantine_eligible_;
+  // Flaky episodes and tampering membership per edge.
+  FlakyChains chains_;
 };
 
 }  // namespace floatfl

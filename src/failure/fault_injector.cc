@@ -47,53 +47,17 @@ FaultInjector::FaultInjector(const FaultConfig& config, uint64_t seed, size_t nu
                     "flaky_fraction must be in [0, 1]");
   FLOATFL_CHECK_MSG(config.byzantine_fraction >= 0.0 && config.byzantine_fraction <= 1.0,
                     "byzantine_fraction must be in [0, 1]");
-  if (!enabled_) {
-    return;
+  if (enabled_) {
+    chains_ = FlakyChains(seed_, num_clients,
+                          {.eligibility_salt = kEligibilitySalt,
+                           .flaky_salt = kFlakySalt,
+                           .byzantine_salt = kByzantineSalt,
+                           .flaky_fraction = config_.flaky_fraction,
+                           .enter_prob = config_.flaky_enter_prob,
+                           .exit_prob = config_.flaky_exit_prob,
+                           .byzantine_fraction =
+                               config_.AttacksEnabled() ? config_.byzantine_fraction : 0.0});
   }
-  flaky_eligible_.assign(num_clients, 0);
-  flaky_.assign(num_clients, 0);
-  if (config_.flaky_fraction > 0.0) {
-    Rng root(seed_ ^ kEligibilitySalt);
-    for (size_t id = 0; id < num_clients; ++id) {
-      Rng stream = root.ForkKeyed(id);
-      flaky_eligible_[id] = stream.NextDouble() < config_.flaky_fraction ? 1 : 0;
-    }
-  }
-  if (config_.AttacksEnabled()) {
-    byzantine_eligible_.assign(num_clients, 0);
-    const Rng root(seed_ ^ kByzantineSalt);
-    for (size_t id = 0; id < num_clients; ++id) {
-      Rng stream = root.ForkKeyed(id);
-      byzantine_eligible_[id] = stream.NextDouble() < config_.byzantine_fraction ? 1 : 0;
-    }
-  }
-}
-
-void FaultInjector::BeginRound(size_t round) {
-  if (!enabled_ || config_.flaky_fraction <= 0.0) {
-    return;
-  }
-  // Advance each eligible client's two-state chain through every round up to
-  // and including `round`, one keyed draw per (round, client) — the same
-  // trajectory regardless of thread count or of checkpoint boundaries.
-  const Rng root(seed_ ^ kFlakySalt);
-  for (size_t r = rounds_advanced_; r <= round; ++r) {
-    for (size_t id = 0; id < flaky_.size(); ++id) {
-      if (!flaky_eligible_[id]) {
-        continue;
-      }
-      Rng stream = root.ForkKeyed(Rng::StreamKey(r, id));
-      const double u = stream.NextDouble();
-      if (flaky_[id]) {
-        if (u < config_.flaky_exit_prob) {
-          flaky_[id] = 0;
-        }
-      } else if (u < config_.flaky_enter_prob) {
-        flaky_[id] = 1;
-      }
-    }
-  }
-  rounds_advanced_ = round + 1;
 }
 
 bool FaultInjector::InBlackout(double now_s) const {
@@ -129,18 +93,6 @@ FaultDecision FaultInjector::Decide(size_t round, size_t client_id, double now_s
   return decision;
 }
 
-bool FaultInjector::IsFlakyEligible(size_t client_id) const {
-  return client_id < flaky_eligible_.size() && flaky_eligible_[client_id] != 0;
-}
-
-bool FaultInjector::IsFlaky(size_t client_id) const {
-  return client_id < flaky_.size() && flaky_[client_id] != 0;
-}
-
-bool FaultInjector::IsByzantine(size_t client_id) const {
-  return client_id < byzantine_eligible_.size() && byzantine_eligible_[client_id] != 0;
-}
-
 Rng FaultInjector::AttackRng(size_t round, size_t client_id) const {
   const Rng root(seed_ ^ kAttackSalt);
   return root.ForkKeyed(Rng::StreamKey(round, client_id));
@@ -174,21 +126,6 @@ double FaultInjector::AttackedQuality(double quality, size_t round, size_t clien
     default:
       return quality;
   }
-}
-
-void FaultInjector::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_advanced_);
-  w.U8Vec(flaky_eligible_);
-  w.U8Vec(flaky_);
-  w.U8Vec(byzantine_eligible_);
-}
-
-bool FaultInjector::LoadState(CheckpointReader& r) {
-  rounds_advanced_ = r.Size();
-  flaky_eligible_ = r.U8Vec();
-  flaky_ = r.U8Vec();
-  byzantine_eligible_ = r.U8Vec();
-  return r.ok();
 }
 
 }  // namespace floatfl

@@ -19,6 +19,7 @@
 #include "src/common/rng.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/fault_config.h"
+#include "src/failure/flaky_chains.h"
 
 namespace floatfl {
 
@@ -60,7 +61,7 @@ class FaultInjector {
   // start of each round/aggregation, from sequential code. Safe to call with
   // non-consecutive rounds after a resume (the chain is advanced per missing
   // round, each with its own (round, client)-keyed draw).
-  void BeginRound(size_t round);
+  void BeginRound(size_t round) { chains_.BeginRound(round); }
 
   // True while `now_s` falls inside a configured blackout window.
   bool InBlackout(double now_s) const;
@@ -69,13 +70,13 @@ class FaultInjector {
   // `now_s` feeds the blackout check.
   FaultDecision Decide(size_t round, size_t client_id, double now_s) const;
 
-  bool IsFlakyEligible(size_t client_id) const;
-  bool IsFlaky(size_t client_id) const;
+  bool IsFlakyEligible(size_t client_id) const { return chains_.IsFlakyEligible(client_id); }
+  bool IsFlaky(size_t client_id) const { return chains_.IsFlaky(client_id); }
 
   // True when attacks are configured and `client_id` belongs to the seeded
   // colluding fraction (drawn once at construction, like flaky
   // eligibility). Colluders attack in every round they complete.
-  bool IsByzantine(size_t client_id) const;
+  bool IsByzantine(size_t client_id) const { return chains_.IsByzantine(client_id); }
 
   // Independent per-(round, client) stream for attack randomness (Gaussian
   // noise). Keyed like Decide()'s draws, so attacks are thread-count
@@ -98,18 +99,15 @@ class FaultInjector {
   // perturbs the honest quality and clamps back into the band.
   double AttackedQuality(double quality, size_t round, size_t client_id) const;
 
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { chains_.SaveState(w); }
+  bool LoadState(CheckpointReader& r) { return chains_.LoadState(r); }
 
  private:
   FaultConfig config_;
   uint64_t seed_ = 0;
   bool enabled_ = false;
-  // Next round BeginRound expects (chains advanced up to rounds_advanced_).
-  size_t rounds_advanced_ = 0;
-  std::vector<uint8_t> flaky_eligible_;
-  std::vector<uint8_t> flaky_;
-  std::vector<uint8_t> byzantine_eligible_;
+  // Flaky episodes and colluder membership per client.
+  FlakyChains chains_;
 };
 
 }  // namespace floatfl
