@@ -36,8 +36,6 @@ struct AggregatorConfig {
   // kNormClip: L2 radius, in delta space (update minus current global
   // model), that each update is clipped to before the weighted mean.
   double clip_norm = 10.0;
-
-  bool IsDefault() const { return kind == AggregatorKind::kFedAvg; }
 };
 
 }  // namespace floatfl

@@ -84,7 +84,6 @@ class SurrogateEngine : public ServerCore {
   const SurrogateAccuracyModel& accuracy_model() const { return *surrogate_; }
   // Resolved configuration (auto-calibrated deadline included).
   const ExperimentConfig& config() const { return config_; }
-  size_t RejectedUpdates() const { return rejected_updates_; }
 
   // The run so far as an ExperimentResult. The async engine refuses the
   // tree and speculation, so its topology and backup fields stay zero.

@@ -76,7 +76,6 @@ class SurrogateAccuracyModel {
   double DataCoverage() const;
 
   size_t NumClients() const { return divergence_.size(); }
-  size_t RoundsSimulated() const { return rounds_; }
 
   // Checkpoint/resume of the mutable convergence state (the shard-derived
   // divergence/share tables are rebuilt deterministically at construction).
