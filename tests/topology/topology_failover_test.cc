@@ -70,6 +70,22 @@ TEST(TopologyFailoverTest, SyncOrphanReplayNeverReachesTheRoot) {
   EXPECT_EQ(result.accuracy_history.size(), config.rounds);
 }
 
+TEST(TopologyFailoverTest, SyncBackupThatCoversAnOrphanTakesOverItsSlot) {
+  // With speculation, a backup on a live edge can deliver for a primary
+  // whose edges are all down. The slot is then covered, not orphaned, so the
+  // tree's orphan count stays the number of slots that ended orphaned.
+  ExperimentConfig config = CrashyTree(false);
+  config.salvage.speculation = true;
+  config.salvage.speculation_margin = 0.0;
+  config.salvage.max_backup_fraction = 0.5;
+  RandomSelector sel(config.seed);
+  SyncEngine engine(config, &sel, nullptr);
+  const ExperimentResult result = engine.Run();
+  EXPECT_GT(result.backups_won, 0u);
+  EXPECT_GT(result.orphaned_clients, 0u);
+  EXPECT_EQ(result.dropout_breakdown.edge_orphaned, result.orphaned_clients);
+}
+
 RealFlConfig RealCrashyTree(bool failover) {
   RealFlConfig config;
   config.num_clients = 12;
