@@ -50,7 +50,6 @@ struct ClientShard {
   std::vector<size_t> class_counts;
   size_t total = 0;
 
-  size_t NumClasses() const { return class_counts.size(); }
   // Normalized label distribution (all zeros -> uniform).
   std::vector<double> LabelDistribution() const;
 };

@@ -82,7 +82,6 @@ class VflEngine {
   VflRoundStats TrainEpoch(TechniqueKind comm_technique);
 
   double EvaluateAccuracy();
-  size_t NumParties() const { return bottoms_.size(); }
   const VflConfig& config() const { return config_; }
   size_t EpochsRun() const { return epochs_run_; }
   const TransportTracker& transport_tracker() const { return transport_tracker_; }

@@ -45,9 +45,6 @@ class OortSelector final : public Selector {
   // the deadline, relaxed when too few clients complete and tightened when
   // completion is easy.
   double PacerFraction() const { return pacer_fraction_; }
-  // Smoothed effective/nominal bandwidth ratio (1.0 until transfer feedback
-  // arrives; stays exactly 1.0 when the transport is disabled).
-  double NetFactor(size_t client_id) const { return net_factor_[client_id]; }
 
  private:
   Rng rng_;
@@ -57,7 +54,8 @@ class OortSelector final : public Selector {
   std::vector<size_t> failures_;
   // EWMA of effective/nominal link throughput from OnTransfer; scales
   // utility so Oort ranks by the bandwidth clients actually deliver under
-  // lossy transport, not the provisioned figure.
+  // lossy transport, not the provisioned figure. 1.0 until transfer feedback
+  // arrives; stays exactly 1.0 when the transport is disabled.
   std::vector<double> net_factor_;
   double pacer_fraction_ = 0.5;
   double completion_ewma_ = 0.8;

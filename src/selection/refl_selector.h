@@ -35,7 +35,6 @@ class ReflSelector final : public Selector {
 
   double PredictedWindow(size_t client_id) const { return predicted_window_s_[client_id]; }
   double EstimatedDuration(size_t client_id) const { return estimated_duration_s_[client_id]; }
-  double NetFactor(size_t client_id) const { return net_factor_[client_id]; }
 
  private:
   Rng rng_;
