@@ -117,7 +117,7 @@ Tensor VflEngine::ForwardParties(const std::vector<Tensor>& inputs, size_t start
     if (bits < 32) {
       // Party quantizes its embedding before sending it to the server.
       if (traffic_bytes != nullptr) {
-        *traffic_bytes += static_cast<double>(Quantize(embedding.flat(), bits).ByteSize());
+        *traffic_bytes += static_cast<double>(QuantizedByteSize(embedding.size(), bits));
       }
       QuantizeDequantize(embedding.flat(), bits);
     } else if (traffic_bytes != nullptr) {
@@ -240,7 +240,7 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
     top_->Step(config_.learning_rate, /*frozen=*/false);
     if (bits < 32) {
       stats.traffic_bytes +=
-          downlink_fraction * static_cast<double>(Quantize(grad_concat.flat(), bits).ByteSize());
+          downlink_fraction * static_cast<double>(QuantizedByteSize(grad_concat.size(), bits));
       QuantizeDequantize(grad_concat.flat(), bits);
     } else {
       stats.traffic_bytes +=

@@ -5,18 +5,7 @@
 namespace floatfl {
 namespace {
 
-// Delta transform: out[i] = in[i] - in[i-1] (mod 256). Makes slowly varying
-// byte streams (sorted indices, similar quant codes) run-heavy.
-std::vector<uint8_t> DeltaEncode(const std::vector<uint8_t>& input) {
-  std::vector<uint8_t> out(input.size());
-  uint8_t prev = 0;
-  for (size_t i = 0; i < input.size(); ++i) {
-    out[i] = static_cast<uint8_t>(input[i] - prev);
-    prev = input[i];
-  }
-  return out;
-}
-
+// Inverse of RleRuns' delta transform: out[i] = out[i-1] + in[i] (mod 256).
 std::vector<uint8_t> DeltaDecode(const std::vector<uint8_t>& input) {
   std::vector<uint8_t> out(input.size());
   uint8_t prev = 0;
@@ -30,20 +19,21 @@ std::vector<uint8_t> DeltaDecode(const std::vector<uint8_t>& input) {
 }  // namespace
 
 std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& input) {
-  const std::vector<uint8_t> delta = DeltaEncode(input);
-  std::vector<uint8_t> out;
-  out.reserve(delta.size() / 2 + 8);
-  size_t i = 0;
-  while (i < delta.size()) {
-    const uint8_t value = delta[i];
-    size_t run = 1;
-    while (i + run < delta.size() && delta[i + run] == value && run < 255) {
-      ++run;
-    }
-    out.push_back(static_cast<uint8_t>(run));
-    out.push_back(value);
-    i += run;
+  // Each input byte ends at most one run, so the output never needs more
+  // than two bytes per input byte.
+  std::vector<uint8_t> out(kRleBytesPerRun * input.size());
+  uint8_t* next = out.data();
+  const auto append = [&next](uint8_t run, uint8_t delta) {
+    next[0] = run;
+    next[1] = delta;
+    next += kRleBytesPerRun;
+  };
+  RleRuns runs;
+  for (uint8_t byte : input) {
+    runs.Push(byte, append);
   }
+  runs.Finish(append);
+  out.resize(static_cast<size_t>(next - out.data()));
   return out;
 }
 

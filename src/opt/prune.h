@@ -11,6 +11,10 @@ namespace floatfl {
 // of entries zeroed. fraction in [0, 1].
 size_t MagnitudePrune(std::vector<float>& values, double fraction);
 
+// The same pruning; `largest_zeroed` receives the largest |value| it zeroed
+// (0 when it zeroed nothing), which is the max absolute error it injected.
+size_t MagnitudePrune(std::vector<float>& values, double fraction, float& largest_zeroed);
+
 // Fraction of exactly-zero entries (post-pruning sparsity).
 double Sparsity(const std::vector<float>& values);
 

@@ -1,35 +1,38 @@
 #include "src/opt/quantize.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/common/check.h"
 
 namespace floatfl {
 
-QuantizedBlob Quantize(const std::vector<float>& values, int bits) {
+QuantizationMap QuantizationMap::Fit(const std::vector<float>& values, int bits) {
   FLOATFL_CHECK(bits == 8 || bits == 16);
-  QuantizedBlob blob;
-  blob.bits = bits;
-  blob.count = values.size();
   float lo = 0.0f;
   float hi = 0.0f;
   for (float v : values) {
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
-  const uint32_t levels = (bits == 8) ? 255u : 65535u;
+  QuantizationMap map;
+  map.levels = (bits == 8) ? 255u : 65535u;
   float range = hi - lo;
   if (range <= 0.0f) {
     range = 1.0f;
   }
-  blob.scale = range / static_cast<float>(levels);
-  blob.zero_point = lo;
+  map.scale = range / static_cast<float>(map.levels);
+  map.zero_point = lo;
+  return map;
+}
+
+QuantizedBlob Quantize(const std::vector<float>& values, int bits) {
+  const QuantizationMap map = QuantizationMap::Fit(values, bits);
+  QuantizedBlob blob;
+  blob.bits = bits;
+  blob.count = values.size();
+  blob.scale = map.scale;
+  blob.zero_point = map.zero_point;
   blob.data.reserve(values.size() * static_cast<size_t>(bits / 8));
   for (float v : values) {
-    const float q = (v - blob.zero_point) / blob.scale;
-    const uint32_t code =
-        static_cast<uint32_t>(std::clamp(std::lround(q), 0L, static_cast<long>(levels)));
+    const uint32_t code = map.Code(v);
     blob.data.push_back(static_cast<uint8_t>(code & 0xFF));
     if (bits == 16) {
       blob.data.push_back(static_cast<uint8_t>((code >> 8) & 0xFF));
@@ -39,6 +42,7 @@ QuantizedBlob Quantize(const std::vector<float>& values, int bits) {
 }
 
 std::vector<float> Dequantize(const QuantizedBlob& blob) {
+  const QuantizationMap map{.scale = blob.scale, .zero_point = blob.zero_point};
   std::vector<float> out;
   out.reserve(blob.count);
   const size_t stride = static_cast<size_t>(blob.bits / 8);
@@ -48,20 +52,13 @@ std::vector<float> Dequantize(const QuantizedBlob& blob) {
     if (blob.bits == 16) {
       code |= static_cast<uint32_t>(blob.data[i * stride + 1]) << 8;
     }
-    out.push_back(blob.zero_point + blob.scale * static_cast<float>(code));
+    out.push_back(map.Restore(code));
   }
   return out;
 }
 
 double QuantizeDequantize(std::vector<float>& values, int bits) {
-  const QuantizedBlob blob = Quantize(values, bits);
-  const std::vector<float> restored = Dequantize(blob);
-  double max_err = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    max_err = std::max(max_err, std::fabs(static_cast<double>(values[i]) - restored[i]));
-  }
-  values = restored;
-  return max_err;
+  return QuantizeDequantize(values, bits, [](uint32_t) {});
 }
 
 }  // namespace floatfl

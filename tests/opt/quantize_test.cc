@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "src/common/rng.h"
 
@@ -89,6 +91,87 @@ TEST_P(QuantizeSweep, RoundTripBounded) {
 INSTANTIATE_TEST_SUITE_P(BitsAndSeeds, QuantizeSweep,
                          ::testing::Combine(::testing::Values(8, 16),
                                             ::testing::Values(uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{4})));
+
+// The blob round trip the one-pass QuantizeDequantize replaced: the restored
+// values and the max absolute error, as the real engine computed them.
+double BlobRoundTrip(std::vector<float>& values, int bits) {
+  const std::vector<float> restored = Dequantize(Quantize(values, bits));
+  double max_err = 0.0;
+  for (size_t i = 0; i < values.size(); ++i) {
+    max_err = std::max(max_err, std::fabs(static_cast<double>(values[i]) - restored[i]));
+  }
+  values = restored;
+  return max_err;
+}
+
+// Bit-for-bit equality; memcmp may not see the null data() of an empty
+// vector.
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// Inputs at the edges of the affine map: empty, constant, all-negative,
+// signed zeros, subnormals, and values exactly halfway between codes.
+std::vector<std::vector<float>> EdgeInputs() {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<std::vector<float>> inputs = {
+      {},
+      std::vector<float>(37, 1.25f),
+      std::vector<float>(9, -3.5f),
+      {-2.0f, -0.5f, -1e-3f, -7.25f, -0.0f},
+      {0.0f, -0.0f, 0.0f, -0.0f},
+      {-0.0f, 1.0f, 0.0f, -1.0f},
+      {denorm, 2 * denorm, 1e-40f, -1e-39f, 0.0f},
+      {std::numeric_limits<float>::min(), -std::numeric_limits<float>::min(), denorm},
+  };
+  // With lo = 0 and hi = 255 the 8-bit scale is exactly 1, so k + 0.5 sits
+  // halfway between codes k and k + 1; likewise with hi = 65535 at 16 bits.
+  for (const float hi : {255.0f, 65535.0f}) {
+    std::vector<float> halves = {0.0f, hi};
+    for (float k : {0.0f, 1.0f, 2.0f, 127.0f, 253.0f, 254.0f}) {
+      halves.push_back(k + 0.5f);
+      halves.push_back(std::nextafter(k + 0.5f, 0.0f));
+      halves.push_back(std::nextafter(k + 0.5f, hi));
+    }
+    inputs.push_back(halves);
+  }
+  inputs.push_back(RandomWeights(50826, 11));
+  return inputs;
+}
+
+TEST(QuantizeTest, OnePassRoundTripMatchesTheBlobRoundTripBitForBit) {
+  for (int bits : {8, 16}) {
+    for (const std::vector<float>& input : EdgeInputs()) {
+      std::vector<float> expected = input;
+      const double expected_err = BlobRoundTrip(expected, bits);
+      std::vector<float> actual = input;
+      const double err = QuantizeDequantize(actual, bits);
+      EXPECT_TRUE(SameBits(actual, expected)) << bits << " bits, " << input.size() << " values";
+      EXPECT_EQ(std::memcmp(&err, &expected_err, sizeof(err)), 0) << bits << " bits";
+    }
+  }
+}
+
+TEST(QuantizeTest, OnePassRoundTripSeesTheBlobsCodesAndSize) {
+  for (int bits : {8, 16}) {
+    for (const std::vector<float>& input : EdgeInputs()) {
+      const QuantizedBlob blob = Quantize(input, bits);
+      std::vector<uint8_t> codes;
+      std::vector<float> values = input;
+      QuantizeDequantize(values, bits, [&](uint32_t code) {
+        codes.push_back(static_cast<uint8_t>(code & 0xFF));
+        if (bits == 16) {
+          codes.push_back(static_cast<uint8_t>(code >> 8));
+        }
+      });
+      EXPECT_EQ(codes, blob.data) << bits << " bits";
+      EXPECT_EQ(QuantizedByteSize(input.size(), bits),
+                blob.data.size() + sizeof(float) * 2 + sizeof(int));
+      EXPECT_EQ(blob.ByteSize(), QuantizedByteSize(input.size(), bits));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace floatfl
