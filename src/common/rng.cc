@@ -1,7 +1,10 @@
 #include "src/common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 
 #include "src/common/check.h"
 
@@ -18,6 +21,39 @@ uint64_t SplitMix64(uint64_t& x) {
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
+// Polynomials over GF(2) below the characteristic polynomial P, in
+// Rng::Skip's layout.
+using Poly = std::array<uint64_t, 4>;
+
+// p · x mod P.
+Poly TimesX(Poly p) {
+  const bool overflow = (p[3] >> 63) != 0;
+  for (size_t w = 3; w > 0; --w) {
+    p[w] = (p[w] << 1) | (p[w - 1] >> 63);
+  }
+  p[0] <<= 1;
+  if (overflow) {
+    for (size_t w = 0; w < 4; ++w) {
+      p[w] ^= Rng::kCharacteristicPolynomial[w];
+    }
+  }
+  return p;
+}
+
+// a · b mod P, by Horner's rule over b's coefficients from x^255 down.
+Poly TimesMod(const Poly& a, const Poly& b) {
+  Poly product = {0, 0, 0, 0};
+  for (int j = 255; j >= 0; --j) {
+    product = TimesX(product);
+    if ((b[j / 64] >> (j % 64)) & 1) {
+      for (size_t w = 0; w < 4; ++w) {
+        product[w] ^= a[w];
+      }
+    }
+  }
+  return product;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -27,8 +63,7 @@ Rng::Rng(uint64_t seed) {
   }
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+void Rng::Step() {
   const uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
   s_[3] ^= s_[1];
@@ -36,13 +71,42 @@ uint64_t Rng::NextU64() {
   s_[0] ^= s_[3];
   s_[2] ^= t;
   s_[3] = Rotl(s_[3], 45);
+}
+
+uint64_t Rng::NextU64() {
+  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+  Step();
   return result;
 }
 
-void Rng::Discard(uint64_t n) {
-  for (uint64_t i = 0; i < n; ++i) {
-    NextU64();
+Rng::Skip::Skip(uint64_t n) : poly_{1, 0, 0, 0} {
+  // Left to right over n's bits: square, then multiply by x where the bit
+  // is set.
+  for (int bit = 63 - std::countl_zero(n); bit >= 0; --bit) {
+    poly_ = TimesMod(poly_, poly_);
+    if ((n >> bit) & 1) {
+      poly_ = TimesX(poly_);
+    }
   }
+}
+
+void Rng::Discard(uint64_t n) { Discard(Skip(n)); }
+
+void Rng::Discard(const Skip& skip) {
+  // By Cayley–Hamilton, x^n ≡ Σ c_j x^j (mod P) means n steps equal the
+  // sum (XOR) of the states after j steps, over the j with c_j set.
+  uint64_t sum[4] = {0, 0, 0, 0};
+  for (uint64_t word : skip.poly_) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if ((word >> bit) & 1) {
+        for (size_t w = 0; w < 4; ++w) {
+          sum[w] ^= s_[w];
+        }
+      }
+      Step();
+    }
+  }
+  std::copy(std::begin(sum), std::end(sum), s_);
 }
 
 double Rng::NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }

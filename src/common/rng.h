@@ -22,9 +22,32 @@ class Rng {
   // Uniform over the full 64-bit range.
   uint64_t NextU64();
 
+  // The low 256 coefficients of the generator's degree-256 characteristic
+  // polynomial P(x), the coefficient of x^j in bit j % 64 of word j / 64;
+  // x^256's is implied. The state update is linear over GF(2), so P of the
+  // update is zero.
+  static constexpr std::array<uint64_t, 4> kCharacteristicPolynomial = {
+      0x9D116F2BB0F0F001ULL, 0x0280002BCEFD1A5EULL, 0x04B4EDCF26259F85ULL,
+      0x0003C03C3F3ECB19ULL};
+
+  // n NextU64 steps as one polynomial, x^n mod P(x): applying it costs at
+  // most 256 steps, however large n is. Building it costs one squaring mod P
+  // per bit of n, tens of microseconds, so build one per distinct n and
+  // reuse it.
+  class Skip {
+   public:
+    explicit Skip(uint64_t n);
+
+   private:
+    friend class Rng;
+    std::array<uint64_t, 4> poly_;  // bit j of word j / 64 is x^j's coefficient
+  };
+
   // Advances the stream past n NextU64 draws, leaving the Box–Muller cache
   // as it is: the state n NextU64 calls would leave.
   void Discard(uint64_t n);
+  // The same for the skip's n.
+  void Discard(const Skip& skip);
 
   // Uniform in [0, 1).
   double NextDouble();
@@ -94,6 +117,9 @@ class Rng {
   void RestoreRaw(const std::array<uint64_t, 6>& raw);
 
  private:
+  // The state update behind every draw.
+  void Step();
+
   uint64_t s_[4];
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -124,6 +125,91 @@ TEST(RngTest, DiscardMatchesNextU64CallsAndKeepsTheNormalCache) {
     EXPECT_EQ(discarded.SaveRaw()[4], 1u) << n;
     EXPECT_EQ(discarded.Normal(), drawn.Normal()) << n;
     EXPECT_EQ(discarded.NextU64(), drawn.NextU64()) << n;
+  }
+}
+
+TEST(RngTest, SkipMatchesNextU64CallsAndKeepsTheNormalCache) {
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{63}, uint64_t{64}, uint64_t{255},
+                     uint64_t{256}, uint64_t{257}, uint64_t{50432}, (uint64_t{1} << 20) + 3}) {
+    const Rng::Skip skip(n);
+    Rng skipped(71);
+    Rng drawn(71);
+    // One Normal() leaves the second Box-Muller value cached.
+    EXPECT_EQ(skipped.Normal(), drawn.Normal());
+    skipped.Discard(skip);
+    for (uint64_t i = 0; i < n; ++i) {
+      drawn.NextU64();
+    }
+    EXPECT_EQ(skipped.SaveRaw(), drawn.SaveRaw()) << n;
+    EXPECT_EQ(skipped.SaveRaw()[4], 1u) << n;
+    EXPECT_EQ(skipped.Normal(), drawn.Normal()) << n;
+    // One skip serves any number of streams, and applies again.
+    skipped.Discard(skip);
+    for (uint64_t i = 0; i < n; ++i) {
+      drawn.NextU64();
+    }
+    EXPECT_EQ(skipped.SaveRaw(), drawn.SaveRaw()) << n;
+  }
+}
+
+// The minimal polynomial of a GF(2) sequence, by Berlekamp–Massey: the
+// connection polynomial C (C[0] = 1) of the shortest linear recurrence
+// sum_i C[i] a[t - i] = 0 that generates `bits`, and its length L.
+std::vector<int> BerlekampMassey(const std::vector<int>& bits, int* length) {
+  const size_t n = bits.size();
+  std::vector<int> c(n + 1, 0);
+  std::vector<int> b(n + 1, 0);
+  c[0] = 1;
+  b[0] = 1;
+  int l = 0;
+  size_t shift = 1;
+  for (size_t t = 0; t < n; ++t) {
+    int discrepancy = bits[t];
+    for (int i = 1; i <= l; ++i) {
+      discrepancy ^= c[static_cast<size_t>(i)] & bits[t - static_cast<size_t>(i)];
+    }
+    if (discrepancy == 0) {
+      ++shift;
+      continue;
+    }
+    const std::vector<int> before = c;
+    for (size_t i = 0; i + shift <= n; ++i) {
+      c[i + shift] ^= b[i];
+    }
+    if (2 * static_cast<size_t>(l) <= t) {
+      l = static_cast<int>(t) + 1 - l;
+      b = before;
+      shift = 1;
+    } else {
+      ++shift;
+    }
+  }
+  *length = l;
+  return c;
+}
+
+TEST(RngTest, CharacteristicPolynomialIsTheGeneratorsMinimalPolynomial) {
+  // Any one state bit is a linear function of the state, so its sequence
+  // obeys the update's characteristic polynomial; over twice the degree,
+  // Berlekamp–Massey recovers it when it is also the minimal one.
+  for (uint64_t seed : {uint64_t{1}, uint64_t{73}, uint64_t{0xC0FFEE}}) {
+    Rng rng(seed);
+    std::vector<int> bits(1024);
+    for (int& bit : bits) {
+      bit = static_cast<int>(rng.SaveRaw()[0] & 1);
+      rng.NextU64();
+    }
+    int length = 0;
+    const std::vector<int> connection = BerlekampMassey(bits, &length);
+    ASSERT_EQ(length, 256) << seed;
+    // P(x) = x^L C(1/x): x^j's coefficient is C[L - j], and C[0] = 1 is x^256's.
+    std::array<uint64_t, 4> derived = {0, 0, 0, 0};
+    for (size_t j = 0; j < 256; ++j) {
+      if (connection[256 - j] != 0) {
+        derived[j / 64] |= uint64_t{1} << (j % 64);
+      }
+    }
+    EXPECT_EQ(derived, Rng::kCharacteristicPolynomial) << seed;
   }
 }
 
