@@ -8,11 +8,20 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/sim/thread_pool.h"
 
 namespace floatfl {
 
+namespace {
+
+// Coordinates per task of the pooled weighted mean: 8 KB of output that
+// stays in L1 while every update streams through it.
+constexpr size_t kMeanBlock = 2048;
+
+}  // namespace
+
 std::vector<float> WeightedMeanAggregate(const std::vector<std::vector<float>>& parameter_sets,
-                                         const std::vector<double>& weights) {
+                                         const std::vector<double>& weights, ThreadPool* pool) {
   FLOATFL_CHECK(!parameter_sets.empty());
   FLOATFL_CHECK(parameter_sets.size() == weights.size());
   double total = 0.0;
@@ -22,14 +31,25 @@ std::vector<float> WeightedMeanAggregate(const std::vector<std::vector<float>>& 
   }
   FLOATFL_CHECK(total > 0.0);
   const size_t n = parameter_sets[0].size();
-  std::vector<float> out(n, 0.0f);
-  for (size_t s = 0; s < parameter_sets.size(); ++s) {
-    FLOATFL_CHECK(parameter_sets[s].size() == n);
-    const float w = static_cast<float>(weights[s] / total);
-    for (size_t i = 0; i < n; ++i) {
-      out[i] += w * parameter_sets[s][i];
-    }
+  for (const std::vector<float>& params : parameter_sets) {
+    FLOATFL_CHECK(params.size() == n);
   }
+  // Without workers the whole vector is one block, so the inline loop
+  // streams each update once, front to back.
+  const bool pooled = pool != nullptr && pool->num_workers() > 0;
+  const size_t block_size = pooled ? kMeanBlock : std::max<size_t>(n, 1);
+  std::vector<float> out(n, 0.0f);
+  ParallelFor(pool, (n + block_size - 1) / block_size, [&](size_t block) {
+    const size_t begin = block * block_size;
+    const size_t end = std::min(n, begin + block_size);
+    for (size_t s = 0; s < parameter_sets.size(); ++s) {
+      const float w = static_cast<float>(weights[s] / total);
+      const float* params = parameter_sets[s].data();
+      for (size_t i = begin; i < end; ++i) {
+        out[i] += w * params[i];
+      }
+    }
+  });
   return out;
 }
 
@@ -42,11 +62,11 @@ void ValidateAggregatorConfig(const AggregatorConfig& config) {
 std::vector<float> Aggregator::Aggregate(const std::vector<std::vector<float>>& updates,
                                          const std::vector<double>& weights,
                                          const std::vector<float>& global,
-                                         AggregatorStats* round_stats) {
+                                         AggregatorStats* round_stats, ThreadPool* pool) {
   FLOATFL_CHECK(!updates.empty());
   FLOATFL_CHECK(updates.size() == weights.size());
   AggregatorStats stats;
-  std::vector<float> out = DoAggregate(updates, weights, global, stats);
+  std::vector<float> out = DoAggregate(updates, weights, global, stats, pool);
   totals_.updates_clipped += stats.updates_clipped;
   totals_.krum_rejections += stats.krum_rejections;
   totals_.updates_trimmed += stats.updates_trimmed;
@@ -78,8 +98,8 @@ class FedAvgAggregator : public Aggregator {
   std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                  const std::vector<double>& weights,
                                  const std::vector<float>& /*global*/,
-                                 AggregatorStats& /*stats*/) override {
-    return WeightedMeanAggregate(updates, weights);
+                                 AggregatorStats& /*stats*/, ThreadPool* pool) override {
+    return WeightedMeanAggregate(updates, weights, pool);
   }
 };
 
@@ -92,7 +112,7 @@ class MedianAggregator : public Aggregator {
   std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                  const std::vector<double>& /*weights*/,
                                  const std::vector<float>& /*global*/,
-                                 AggregatorStats& /*stats*/) override {
+                                 AggregatorStats& /*stats*/, ThreadPool* /*pool*/) override {
     const size_t dim = updates[0].size();
     const size_t n = updates.size();
     std::vector<float> out(dim, 0.0f);
@@ -119,7 +139,7 @@ class TrimmedMeanAggregator : public Aggregator {
   std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                  const std::vector<double>& /*weights*/,
                                  const std::vector<float>& /*global*/,
-                                 AggregatorStats& stats) override {
+                                 AggregatorStats& stats, ThreadPool* /*pool*/) override {
     const size_t dim = updates[0].size();
     const size_t n = updates.size();
     size_t k = static_cast<size_t>(config().trim_fraction * static_cast<double>(n));
@@ -156,12 +176,12 @@ class KrumAggregator : public Aggregator {
   std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                  const std::vector<double>& weights,
                                  const std::vector<float>& /*global*/,
-                                 AggregatorStats& stats) override {
+                                 AggregatorStats& stats, ThreadPool* pool) override {
     const size_t n = updates.size();
     if (n < 3) {
       // Too small a cohort for distance-based selection: fall back to the
       // plain weighted mean rather than rejecting arbitrarily.
-      return WeightedMeanAggregate(updates, weights);
+      return WeightedMeanAggregate(updates, weights, pool);
     }
     size_t f = config().krum_assumed_byzantine;
     const size_t f_max = (n - 3) / 2;
@@ -224,7 +244,7 @@ class KrumAggregator : public Aggregator {
       selected_weights.push_back(weights[idx]);
     }
     stats.krum_rejections = n - m;
-    return WeightedMeanAggregate(selected, selected_weights);
+    return WeightedMeanAggregate(selected, selected_weights, pool);
   }
 };
 
@@ -238,7 +258,7 @@ class NormClipAggregator : public Aggregator {
   std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                  const std::vector<double>& weights,
                                  const std::vector<float>& global,
-                                 AggregatorStats& stats) override {
+                                 AggregatorStats& stats, ThreadPool* pool) override {
     const size_t dim = updates[0].size();
     FLOATFL_CHECK(global.size() == dim);
     std::vector<std::vector<float>> clipped = updates;
@@ -259,7 +279,7 @@ class NormClipAggregator : public Aggregator {
         ++stats.updates_clipped;
       }
     }
-    return WeightedMeanAggregate(clipped, weights);
+    return WeightedMeanAggregate(clipped, weights, pool);
   }
 };
 

@@ -20,12 +20,18 @@
 
 namespace floatfl {
 
+class ThreadPool;
+
 // Weighted in-place average of parameter vectors — the FedAvg rule that was
 // historically Mlp::Aggregate, extracted so every aggregator (and Mlp, which
 // delegates here) shares one bit-identical implementation. `weights` must
-// sum to a positive value; vectors must agree in length.
+// sum to a positive value; vectors must agree in length. Fixed blocks of
+// coordinates fan out over `pool`; with no pool, or no workers, one pass
+// runs inline. Each output coordinate adds its terms in update order
+// starting from 0.0f, so the result does not depend on the pool.
 std::vector<float> WeightedMeanAggregate(const std::vector<std::vector<float>>& parameter_sets,
-                                         const std::vector<double>& weights);
+                                         const std::vector<double>& weights,
+                                         ThreadPool* pool = nullptr);
 
 // Per-round defense accounting produced by one Aggregate() call.
 struct AggregatorStats {
@@ -53,10 +59,13 @@ class Aggregator {
   // global parameters. `global` is the pre-round model, so rules that work
   // in delta space (norm clipping) can recover each client's update
   // direction. `round_stats`, when non-null, receives this call's defense
-  // counts; the same counts accumulate into totals().
+  // counts; the same counts accumulate into totals(). The rules whose last
+  // step is the weighted mean (FedAvg, Krum, norm clipping) run it on `pool`
+  // (null: inline), with the same result for any pool.
   std::vector<float> Aggregate(const std::vector<std::vector<float>>& updates,
                                const std::vector<double>& weights,
-                               const std::vector<float>& global, AggregatorStats* round_stats);
+                               const std::vector<float>& global, AggregatorStats* round_stats,
+                               ThreadPool* pool = nullptr);
 
   // Cumulative defense counters across all rounds (checkpointed).
   const AggregatorStats& totals() const { return totals_; }
@@ -68,7 +77,7 @@ class Aggregator {
   virtual std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
                                          const std::vector<double>& weights,
                                          const std::vector<float>& global,
-                                         AggregatorStats& stats) = 0;
+                                         AggregatorStats& stats, ThreadPool* pool) = 0;
 
  private:
   AggregatorConfig config_;

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "src/agg/quality_agg.h"
+#include "src/common/rng.h"
+#include "src/sim/thread_pool.h"
 
 namespace floatfl {
 namespace {
@@ -159,6 +162,81 @@ TEST(AggregatorTest, TotalsAccumulateAndRoundTripThroughCheckpoint) {
   EXPECT_EQ(fresh->totals().updates_clipped, 2u);
   EXPECT_EQ(fresh->totals().krum_rejections, 0u);
   EXPECT_EQ(fresh->totals().updates_trimmed, 0u);
+}
+
+// The inline loop the pooled weighted mean replaced: one pass over every
+// coordinate per update, in update order.
+std::vector<float> InlineWeightedMean(const std::vector<std::vector<float>>& sets,
+                                      const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    total += w;
+  }
+  std::vector<float> out(sets[0].size(), 0.0f);
+  for (size_t s = 0; s < sets.size(); ++s) {
+    const float w = static_cast<float>(weights[s] / total);
+    for (size_t i = 0; i < out.size(); ++i) {
+      out[i] += w * sets[s][i];
+    }
+  }
+  return out;
+}
+
+std::vector<std::vector<float>> RandomSets(size_t count, size_t length, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<float>> sets(count, std::vector<float>(length));
+  for (auto& set : sets) {
+    for (float& x : set) {
+      x = static_cast<float>(rng.Normal(0.0, 0.3));
+    }
+  }
+  return sets;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(AggregatorTest, PooledWeightedMeanMatchesTheInlineLoopBitForBit) {
+  // Lengths below, at and past a block boundary (2048 coordinates), and the
+  // real engine's 50,826, which no block size up to 2048 divides.
+  const std::vector<std::vector<double>> weight_sets = {
+      {1.0}, {3.0, 1.0, 2.5}, {0.0, 7.0, 0.0, 1e-3, 60.0}, {61.0, 58.0, 44.0, 0.0, 73.0, 12.0}};
+  for (size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+    ThreadPool pool(workers);
+    for (size_t length : {size_t{1}, size_t{2047}, size_t{2048}, size_t{6149}, size_t{50826}}) {
+      for (const std::vector<double>& weights : weight_sets) {
+        const auto sets = RandomSets(weights.size(), length, 41 + length);
+        const std::vector<float> expected = InlineWeightedMean(sets, weights);
+        EXPECT_TRUE(SameBits(WeightedMeanAggregate(sets, weights, &pool), expected))
+            << workers << " workers, " << length << " coordinates, " << weights.size()
+            << " updates";
+        EXPECT_TRUE(SameBits(WeightedMeanAggregate(sets, weights), expected));
+      }
+    }
+  }
+}
+
+TEST(AggregatorTest, WeightedMeanRulesGiveTheSameResultOnAPool) {
+  ThreadPool pool(3);
+  const auto sets = RandomSets(7, 6149, 43);
+  const std::vector<double> weights = {5.0, 0.0, 2.0, 9.0, 1.0, 3.0, 4.0};
+  std::vector<float> global(6149, 0.05f);
+  for (AggregatorKind kind :
+       {AggregatorKind::kFedAvg, AggregatorKind::kKrum, AggregatorKind::kNormClip}) {
+    AggregatorConfig config;
+    config.kind = kind;
+    config.clip_norm = 10.0;  // clips all 7 (delta norms about 23)
+    AggregatorStats inline_stats;
+    AggregatorStats pooled_stats;
+    const std::vector<float> expected =
+        MakeAggregator(config)->Aggregate(sets, weights, global, &inline_stats);
+    const std::vector<float> pooled =
+        MakeAggregator(config)->Aggregate(sets, weights, global, &pooled_stats, &pool);
+    EXPECT_TRUE(SameBits(pooled, expected)) << static_cast<int>(kind);
+    EXPECT_EQ(pooled_stats.updates_clipped, inline_stats.updates_clipped);
+    EXPECT_EQ(pooled_stats.krum_rejections, inline_stats.krum_rejections);
+  }
 }
 
 TEST(AggregatorValidationTest, RejectsOutOfRangeKnobs) {
