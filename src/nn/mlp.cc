@@ -126,6 +126,12 @@ size_t Mlp::ParamCount() const {
 
 std::vector<float> Mlp::GetParameters() const {
   std::vector<float> out;
+  GetParameters(out);
+  return out;
+}
+
+void Mlp::GetParameters(std::vector<float>& out) const {
+  out.clear();
   out.reserve(ParamCount());
   for (const auto& layer : layers_) {
     const auto& w = layer.weights().flat();
@@ -133,7 +139,6 @@ std::vector<float> Mlp::GetParameters() const {
     out.insert(out.end(), w.begin(), w.end());
     out.insert(out.end(), b.begin(), b.end());
   }
-  return out;
 }
 
 void Mlp::SetParameters(const std::vector<float>& params) {

@@ -60,6 +60,8 @@ class Mlp {
   // Flattened parameter vector in a fixed layer order (weights then bias per
   // layer). SetParameters requires the exact same length.
   std::vector<float> GetParameters() const;
+  // The same vector written into `out`, reusing its capacity.
+  void GetParameters(std::vector<float>& out) const;
   void SetParameters(const std::vector<float>& params);
 
   DenseLayer& layer(size_t i) { return layers_[i]; }

@@ -51,6 +51,23 @@ TEST(MlpTest, GetSetParametersRoundTrip) {
   }
 }
 
+TEST(MlpTest, GetParametersIntoABufferOverwritesItWhole) {
+  Rng rng(3);
+  const Mlp net({5, 7, 2}, rng);
+  const std::vector<float> expected = net.GetParameters();
+  // A stale buffer of the right size, a longer one and an empty one.
+  for (size_t stale : {expected.size(), expected.size() + 9, size_t{0}}) {
+    std::vector<float> buffer(stale, -7.0f);
+    net.GetParameters(buffer);
+    EXPECT_EQ(buffer, expected) << stale;
+  }
+  // The buffer keeps its storage when it is big enough.
+  std::vector<float> buffer(expected.size());
+  const float* storage = buffer.data();
+  net.GetParameters(buffer);
+  EXPECT_EQ(buffer.data(), storage);
+}
+
 TEST(MlpTest, AggregateIsWeightedAverage) {
   const std::vector<std::vector<float>> sets = {{1.0f, 2.0f}, {3.0f, 6.0f}};
   const std::vector<float> avg = Mlp::Aggregate(sets, {1.0, 1.0});
