@@ -150,6 +150,36 @@ TEST(RealEngineTest, TestSetEvaluationIsThreadInvariant) {
   EXPECT_EQ(run(8), sequential);
 }
 
+// participants counts the fresh uploads the server accepted whether or not
+// an ingestion gate rules on them, so the per-participant means divide the
+// same sums by the same count: a storm with salvaged partials reads alike
+// with the gate off and with a dedup gate that refuses nothing.
+TEST(RealEngineTest, ParticipantsCountTheAcceptedFreshUploadsWithOrWithoutAGate) {
+  RealFlConfig ungated = FastConfig(29);
+  ungated.faults.crash_prob = 0.5;
+  ungated.salvage.enabled = true;
+  RealFlConfig gated = ungated;
+  gated.admission.dedup = true;
+  RealFlEngine off(ungated);
+  RealFlEngine on(gated);
+  size_t participants = 0;
+  size_t salvaged = 0;
+  for (int round = 0; round < 10; ++round) {
+    const RealRoundStats a = off.RunRound(TechniqueKind::kQuant8);
+    const RealRoundStats b = on.RunRound(TechniqueKind::kQuant8);
+    EXPECT_EQ(a.participants, b.participants) << round;
+    EXPECT_EQ(a.mean_upload_bytes, b.mean_upload_bytes) << round;
+    EXPECT_EQ(a.mean_update_error, b.mean_update_error) << round;
+    EXPECT_EQ(a.participants + a.crashed, ungated.clients_per_round) << round;
+    EXPECT_EQ(b.deduplicated, 0u) << round;
+    participants += a.participants;
+    salvaged += a.partials_salvaged;
+  }
+  // Premise: the storm both delivered fresh uploads and salvaged partials.
+  EXPECT_GT(participants, 0u);
+  EXPECT_GT(salvaged, 0u);
+}
+
 // An empty test set would score every round NaN, and the guard never judges
 // a NaN round healthy.
 TEST(RealEngineDeathTest, EmptyTestSetRefused) {
