@@ -22,10 +22,9 @@ namespace floatfl {
 
 class ThreadPool;
 
-// Weighted in-place average of parameter vectors — the FedAvg rule that was
-// historically Mlp::Aggregate, extracted so every aggregator (and Mlp, which
-// delegates here) shares one bit-identical implementation. `weights` must
-// sum to a positive value; vectors must agree in length. Fixed blocks of
+// Weighted in-place average of parameter vectors: the FedAvg rule, one
+// bit-identical implementation every aggregator and engine shares. `weights`
+// must sum to a positive value; vectors must agree in length. Fixed blocks of
 // coordinates fan out over `pool`; with no pool, or no workers, one pass
 // runs inline. Each output coordinate adds its terms in update order
 // starting from 0.0f, so the result does not depend on the pool.

@@ -90,8 +90,6 @@ Rng::Skip::Skip(uint64_t n) : poly_{1, 0, 0, 0} {
   }
 }
 
-void Rng::Discard(uint64_t n) { Discard(Skip(n)); }
-
 void Rng::Discard(const Skip& skip) {
   // By Cayley–Hamilton, x^n ≡ Σ c_j x^j (mod P) means n steps equal the
   // sum (XOR) of the states after j steps, over the j with c_j set.
@@ -159,10 +157,6 @@ double Rng::Exponential(double mean) {
 }
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
-
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  return WeightedIndex(weights, WeightTotal(weights));
-}
 
 double Rng::WeightTotal(const std::vector<double>& weights) {
   double total = 0.0;
@@ -251,8 +245,6 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   }
   return p;
 }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 Rng Rng::ForkKeyed(uint64_t key) const {
   // Hash the full parent state together with the key through a SplitMix64

@@ -43,10 +43,8 @@ class Rng {
     std::array<uint64_t, 4> poly_;  // bit j of word j / 64 is x^j's coefficient
   };
 
-  // Advances the stream past n NextU64 draws, leaving the Box–Muller cache
-  // as it is: the state n NextU64 calls would leave.
-  void Discard(uint64_t n);
-  // The same for the skip's n.
+  // Advances the stream past the skip's n NextU64 draws, leaving the
+  // Box–Muller cache as it is: the state n NextU64 calls would leave.
   void Discard(const Skip& skip);
 
   // Uniform in [0, 1).
@@ -74,12 +72,10 @@ class Rng {
   // Bernoulli trial with probability p of returning true.
   bool Bernoulli(double p);
 
-  // Samples an index in [0, weights.size()) proportionally to weights.
-  // Non-positive weights are treated as zero; if all weights are zero the
-  // index is uniform.
-  size_t WeightedIndex(const std::vector<double>& weights);
-  // The same draw, given WeightTotal(weights): for many draws from one
-  // distribution.
+  // Samples an index in [0, weights.size()) proportionally to weights, given
+  // total = WeightTotal(weights), so many draws from one distribution sum it
+  // once. Non-positive weights are treated as zero; if all weights are zero
+  // the index is uniform.
   size_t WeightedIndex(const std::vector<double>& weights, double total);
   // The sum of the positive weights, in index order.
   static double WeightTotal(const std::vector<double>& weights);
@@ -94,12 +90,7 @@ class Rng {
   // Fisher–Yates shuffle of indices [0, n); returns the permutation.
   std::vector<size_t> Permutation(size_t n);
 
-  // Forks an independent stream; deterministic given this stream's state.
-  // Advances this stream by one draw, so successive Fork() calls yield
-  // distinct children in a fixed order.
-  Rng Fork();
-
-  // Forks an independent stream addressed by `key` WITHOUT advancing this
+  // Forks an independent stream addressed by `key` without advancing this
   // stream: the same (parent state, key) pair always yields the same child,
   // and distinct keys yield decorrelated children. The engines key
   // per-client streams by StreamKey(round, client_id), which is what makes

@@ -8,14 +8,7 @@
 namespace floatfl {
 
 void RunningStat::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
@@ -29,26 +22,6 @@ double RunningStat::Variance() const {
 }
 
 double RunningStat::StdDev() const { return std::sqrt(Variance()); }
-
-void RunningStat::Reset() { *this = RunningStat(); }
-
-MovingAverage::MovingAverage(size_t window) : window_(window) { FLOATFL_CHECK(window > 0); }
-
-void MovingAverage::Add(double x) {
-  values_.push_back(x);
-  sum_ += x;
-  if (values_.size() > window_) {
-    sum_ -= values_.front();
-    values_.pop_front();
-  }
-}
-
-double MovingAverage::Value() const {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  return sum_ / static_cast<double>(values_.size());
-}
 
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) {

@@ -3,7 +3,6 @@
 #define SRC_COMMON_STATS_H_
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 namespace floatfl {
@@ -12,39 +11,15 @@ namespace floatfl {
 class RunningStat {
  public:
   void Add(double x);
-  size_t Count() const { return count_; }
   double Mean() const { return count_ > 0 ? mean_ : 0.0; }
   // Population variance (0 for fewer than 2 samples).
   double Variance() const;
   double StdDev() const;
-  double Min() const { return count_ > 0 ? min_ : 0.0; }
-  double Max() const { return count_ > 0 ? max_ : 0.0; }
-  double Sum() const { return sum_; }
-  void Reset();
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
-// Fixed-window moving average. FLOAT's RLHF reward uses a moving average of
-// the per-objective scores instead of raw Bellman accumulation (RQ6).
-class MovingAverage {
- public:
-  explicit MovingAverage(size_t window);
-  void Add(double x);
-  double Value() const;
-  size_t Count() const { return values_.size(); }
-  bool Empty() const { return values_.empty(); }
-
- private:
-  size_t window_;
-  std::deque<double> values_;
-  double sum_ = 0.0;
 };
 
 // Linear-interpolation percentile of an unsorted sample, p in [0, 100].

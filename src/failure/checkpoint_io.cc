@@ -4,13 +4,7 @@
 
 #include <fstream>
 
-#include "src/failure/durable_file.h"
-
 namespace floatfl {
-
-bool CheckpointWriter::WriteFile(const std::string& path) const {
-  return WriteFile(path, DefaultDurableFile());
-}
 
 bool CheckpointWriter::WriteFile(const std::string& path, DurableFile& io) const {
   return io.Write(path, buf_);

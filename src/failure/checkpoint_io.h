@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
-namespace floatfl {
+#include "src/failure/durable_file.h"
 
-class DurableFile;
+namespace floatfl {
 
 class CheckpointWriter {
  public:
@@ -74,11 +74,10 @@ class CheckpointWriter {
   // Crash-consistent file write (fsync'd temp + rename + directory fsync,
   // src/failure/durable_file.h). Returns false on any I/O failure — an empty
   // path, an unwritable or missing parent directory, a directory as the
-  // target, a short write — without ever leaving a partial final file. The
-  // second overload routes the bytes through an injected writer so tests can
-  // tear the write or kill the process at named crashpoints.
-  bool WriteFile(const std::string& path) const;
-  bool WriteFile(const std::string& path, DurableFile& io) const;
+  // target, a short write — without ever leaving a partial final file. An
+  // injected `io` receives the bytes instead, so tests can tear the write or
+  // kill the process at named crashpoints.
+  bool WriteFile(const std::string& path, DurableFile& io = DefaultDurableFile()) const;
 
  private:
   void Raw(const void* p, size_t n) {

@@ -1,7 +1,6 @@
 #include "src/failure/checkpointer.h"
 
 #include "src/failure/checkpoint_io.h"
-#include "src/failure/durable_file.h"
 #include "src/fl/async_engine.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/sync_engine.h"
@@ -236,19 +235,6 @@ uint64_t FingerprintConfig(const VflConfig& config) {
   WriteFaultConfig(w, config.faults);
   WriteGuardConfig(w, config.guard);
   return Fnv1a(w.buffer());
-}
-
-bool Checkpointer::Save(const std::string& path, const SyncEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kSync, DefaultDurableFile());
-}
-bool Checkpointer::Save(const std::string& path, const AsyncEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kAsync, DefaultDurableFile());
-}
-bool Checkpointer::Save(const std::string& path, const RealFlEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kReal, DefaultDurableFile());
-}
-bool Checkpointer::Save(const std::string& path, const VflEngine& engine) {
-  return SaveEngine(path, engine, EngineTag::kVfl, DefaultDurableFile());
 }
 
 bool Checkpointer::Save(const std::string& path, const SyncEngine& engine, DurableFile& io) {

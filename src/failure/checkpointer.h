@@ -17,9 +17,10 @@
 #include <cstdint>
 #include <string>
 
+#include "src/failure/durable_file.h"
+
 namespace floatfl {
 
-class DurableFile;
 class SyncEngine;
 class AsyncEngine;
 class RealFlEngine;
@@ -70,20 +71,18 @@ class Checkpointer {
   static constexpr uint32_t kVersion = 9;
   enum class EngineTag : uint32_t { kSync = 1, kAsync = 2, kReal = 3, kVfl = 4 };
 
-  // Crash-consistent save (fsync'd temp file + rename). Returns false on
-  // I/O failure — including an empty/unwritable/directory path — and never
-  // crashes the caller.
-  static bool Save(const std::string& path, const SyncEngine& engine);
-  static bool Save(const std::string& path, const AsyncEngine& engine);
-  static bool Save(const std::string& path, const RealFlEngine& engine);
-  static bool Save(const std::string& path, const VflEngine& engine);
-
-  // Same, writing through an injectable DurableFile (fault injection, custom
-  // storage). The default overloads above use the process-wide fsync'd one.
-  static bool Save(const std::string& path, const SyncEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const AsyncEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const RealFlEngine& engine, DurableFile& io);
-  static bool Save(const std::string& path, const VflEngine& engine, DurableFile& io);
+  // Crash-consistent save (fsync'd temp file + rename) through `io`: the
+  // process-wide fsync'd writer unless one is injected (fault injection,
+  // custom storage). Returns false on I/O failure — including an
+  // empty/unwritable/directory path — and never crashes the caller.
+  static bool Save(const std::string& path, const SyncEngine& engine,
+                   DurableFile& io = DefaultDurableFile());
+  static bool Save(const std::string& path, const AsyncEngine& engine,
+                   DurableFile& io = DefaultDurableFile());
+  static bool Save(const std::string& path, const RealFlEngine& engine,
+                   DurableFile& io = DefaultDurableFile());
+  static bool Save(const std::string& path, const VflEngine& engine,
+                   DurableFile& io = DefaultDurableFile());
 
   // Restores into an engine freshly constructed with the *same* config the
   // checkpoint was taken under. Returns false on header mismatch or a

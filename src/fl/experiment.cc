@@ -13,6 +13,7 @@ void ValidateExperimentConfig(const ExperimentConfig& config) {
   FLOATFL_CHECK_MSG(config.rounds > 0, "rounds must be positive");
   FLOATFL_CHECK_MSG(config.epochs > 0, "epochs must be positive");
   FLOATFL_CHECK_MSG(config.batch_size > 0, "batch_size must be positive");
+  FLOATFL_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
   FLOATFL_CHECK_MSG(config.async_concurrency > 0, "async_concurrency must be positive");
   FLOATFL_CHECK_MSG(config.async_buffer > 0, "async_buffer must be positive");
   FLOATFL_CHECK_MSG(config.async_buffer <= config.async_concurrency,

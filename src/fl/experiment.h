@@ -36,7 +36,7 @@ struct ExperimentConfig {
   double deadline_s = 0.0;
   DatasetId dataset = DatasetId::kFemnist;
   ModelId model = ModelId::kResNet34;
-  double alpha = 0.1;
+  double alpha = 0.1;  // Dirichlet non-IID-ness of the shards; must be positive
   InterferenceScenario interference = InterferenceScenario::kDynamic;
   uint64_t seed = 42;
   // Figure-3 counterfactual: pretend every selected client completes.

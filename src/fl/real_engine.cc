@@ -129,6 +129,7 @@ RealFlEngine::RealFlEngine(const RealFlConfig& config)
   FLOATFL_CHECK(config.num_clients > 0);
   FLOATFL_CHECK(config.clients_per_round > 0);
   FLOATFL_CHECK(config.num_classes >= 2);
+  FLOATFL_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
   // An empty test set scores every round NaN, which the guard never judges
   // healthy, so it could never roll back.
   FLOATFL_CHECK_MSG(config.test_samples_per_class > 0, "test_samples_per_class must be positive");

@@ -69,7 +69,6 @@ class ServerCore {
   // Graceful-degradation accounting (DESIGN.md §16).
   const SalvageTracker& salvage_tracker() const { return salvage_tracker_; }
   // The edge tier (DESIGN.md §13).
-  const EdgeFaultInjector& edge_injector() const { return edge_injector_; }
   const AggregationTree& tree() const { return tree_; }
   const TopologyTracker& topology_tracker() const { return topo_tracker_; }
 

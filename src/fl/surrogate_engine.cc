@@ -20,17 +20,23 @@ constexpr size_t DropoutBreakdown::*kBreakdownCounts[] = {
     &DropoutBreakdown::backup_redundant,
 };
 
+// `config` once ValidateExperimentConfig has passed it, so the constructor
+// refuses a bad config before it builds the population from it.
+const ExperimentConfig& Validated(const ExperimentConfig& config) {
+  ValidateExperimentConfig(config);
+  return config;
+}
+
 }  // namespace
 
 SurrogateEngine::SurrogateEngine(const ExperimentConfig& config, TuningPolicy* policy,
                                  size_t participants)
     : ServerCore(config.seed, config.num_clients, config.num_threads, config.faults, config.guard,
                  config.topology, config.admission, config.salvage, policy),
-      config_(config),
+      config_(Validated(config)),
       clients_(BuildPopulation(GetDatasetSpec(config.dataset), config.num_clients, config.alpha,
                                config.interference, config.seed)),
       tracker_(config.num_clients) {
-  ValidateExperimentConfig(config_);
   if (config_.deadline_s <= 0.0) {
     config_.deadline_s = AutoDeadlineSeconds(config_, clients_);
   }

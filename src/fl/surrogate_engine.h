@@ -81,7 +81,6 @@ struct ClientRoundOutcome {
 
 class SurrogateEngine : public ServerCore {
  public:
-  const SurrogateAccuracyModel& accuracy_model() const { return *surrogate_; }
   // Resolved configuration (auto-calibrated deadline included).
   const ExperimentConfig& config() const { return config_; }
 

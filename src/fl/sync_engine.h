@@ -43,7 +43,6 @@ class SyncEngine : public SurrogateEngine {
                                     TechniqueKind technique, const FaultDecision& fault) const;
 
   size_t RoundsRun() const { return rounds_run_; }
-  const AdaptiveDeadlineController& deadline_controller() const { return deadline_ctrl_; }
   // The backup planner (DESIGN.md §16).
   const SpeculativeScheduler& speculative_scheduler() const { return scheduler_; }
   // The deadline governing the current round: the static configured value,

@@ -8,8 +8,6 @@
 
 namespace floatfl {
 
-ActionQuarantine::ActionQuarantine() : ActionQuarantine(GuardConfig{}) {}
-
 ActionQuarantine::ActionQuarantine(const GuardConfig& config)
     : config_(config), cells_(AllTechniques().size()) {}
 

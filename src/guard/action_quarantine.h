@@ -33,7 +33,6 @@ enum class DropoutReason : uint32_t;
 
 class ActionQuarantine {
  public:
-  ActionQuarantine();
   explicit ActionQuarantine(const GuardConfig& config);
 
   // True when `reason` is a failure a technique choice can plausibly cause.

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "src/agg/aggregator.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/sim/thread_pool.h"
@@ -108,14 +107,6 @@ Mlp::Evaluation Mlp::Evaluate(const Tensor& input, const std::vector<int>& label
   return result;
 }
 
-double Mlp::EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) const {
-  return Evaluate(input, labels).accuracy;
-}
-
-double Mlp::EvaluateLoss(const Tensor& input, const std::vector<int>& labels) const {
-  return Evaluate(input, labels).loss;
-}
-
 size_t Mlp::ParamCount() const {
   size_t n = 0;
   for (const auto& layer : layers_) {
@@ -154,11 +145,6 @@ void Mlp::SetParameters(const std::vector<float>& params) {
       x = params[pos++];
     }
   }
-}
-
-std::vector<float> Mlp::Aggregate(const std::vector<std::vector<float>>& parameter_sets,
-                                  const std::vector<double>& weights) {
-  return WeightedMeanAggregate(parameter_sets, weights);
 }
 
 }  // namespace floatfl

@@ -51,8 +51,6 @@ class Mlp {
   // on the pool.
   Evaluation Evaluate(const Tensor& input, const std::vector<int>& labels,
                       ThreadPool* pool = nullptr) const;
-  double EvaluateAccuracy(const Tensor& input, const std::vector<int>& labels) const;
-  double EvaluateLoss(const Tensor& input, const std::vector<int>& labels) const;
 
   size_t NumLayers() const { return layers_.size(); }
   size_t ParamCount() const;
@@ -66,11 +64,6 @@ class Mlp {
 
   DenseLayer& layer(size_t i) { return layers_[i]; }
   const DenseLayer& layer(size_t i) const { return layers_[i]; }
-
-  // Weighted in-place average of parameter vectors (FedAvg aggregation).
-  // `weights` must sum to a positive value; models must agree in shape.
-  static std::vector<float> Aggregate(const std::vector<std::vector<float>>& parameter_sets,
-                                      const std::vector<double>& weights);
 
  private:
   std::vector<DenseLayer> layers_;

@@ -1,6 +1,5 @@
 #include "src/nn/tensor.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -11,12 +10,6 @@ namespace floatfl {
 
 Tensor::Tensor(size_t rows, size_t cols, float fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-Tensor Tensor::FromVector(const std::vector<float>& v) {
-  Tensor t(1, v.size());
-  t.data_ = v;
-  return t;
-}
 
 Tensor Tensor::GlorotUniform(size_t rows, size_t cols, Rng& rng) {
   Tensor t(rows, cols);
@@ -70,20 +63,6 @@ void Tensor::AddInPlace(const Tensor& other) {
   }
 }
 
-void Tensor::SubInPlace(const Tensor& other) {
-  FLOATFL_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] -= other.data_[i];
-  }
-}
-
-void Tensor::MulInPlace(const Tensor& other) {
-  FLOATFL_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) {
-    data_[i] *= other.data_[i];
-  }
-}
-
 void Tensor::ScaleInPlace(float s) {
   for (auto& x : data_) {
     x *= s;
@@ -107,22 +86,6 @@ Tensor Tensor::ColSum() const {
     }
   }
   return out;
-}
-
-double Tensor::L2Norm() const {
-  double acc = 0.0;
-  for (float x : data_) {
-    acc += static_cast<double>(x) * x;
-  }
-  return std::sqrt(acc);
-}
-
-double Tensor::MaxAbs() const {
-  double m = 0.0;
-  for (float x : data_) {
-    m = std::max(m, std::fabs(static_cast<double>(x)));
-  }
-  return m;
 }
 
 }  // namespace floatfl

@@ -20,7 +20,6 @@ class Tensor {
   Tensor() : rows_(0), cols_(0) {}
   Tensor(size_t rows, size_t cols, float fill = 0.0f);
 
-  static Tensor FromVector(const std::vector<float>& v);  // 1 x n
   // Glorot/Xavier-uniform initialization for a (rows x cols) weight matrix.
   static Tensor GlorotUniform(size_t rows, size_t cols, Rng& rng);
 
@@ -51,16 +50,11 @@ class Tensor {
   // Element-wise, in place. Shapes must match exactly (AddRowBroadcast
   // broadcasts a 1 x cols row over all rows).
   void AddInPlace(const Tensor& other);
-  void SubInPlace(const Tensor& other);
-  void MulInPlace(const Tensor& other);
   void ScaleInPlace(float s);
   void AddRowBroadcast(const Tensor& row);
 
   // Column-wise sum producing 1 x cols.
   Tensor ColSum() const;
-
-  double L2Norm() const;
-  double MaxAbs() const;
 
   bool SameShape(const Tensor& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_;

@@ -54,12 +54,9 @@ class RleRuns {
 // Bytes RleCompress emits per run: its length, then its delta.
 inline constexpr size_t kRleBytesPerRun = 2;
 
-// RLE over delta-encoded bytes. Round-trips exactly.
+// RLE over delta-encoded bytes, lossless: expanding each run and summing
+// the deltas mod 256 gives the input back.
 std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& input);
-std::vector<uint8_t> RleDecompress(const std::vector<uint8_t>& input);
-
-// Convenience: compressed_size / original_size (1.0 for empty input).
-double CompressionRatio(const std::vector<uint8_t>& input);
 
 }  // namespace floatfl
 

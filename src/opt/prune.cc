@@ -91,19 +91,6 @@ size_t MagnitudePrune(std::vector<float>& values, double fraction, float& larges
   return zeroed;
 }
 
-double Sparsity(const std::vector<float>& values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  size_t zeros = 0;
-  for (float v : values) {
-    if (v == 0.0f) {
-      ++zeros;
-    }
-  }
-  return static_cast<double>(zeros) / static_cast<double>(values.size());
-}
-
 size_t SparseEncodingBytes(const std::vector<float>& values) {
   size_t nonzero = 0;
   for (float v : values) {

@@ -15,9 +15,6 @@ size_t MagnitudePrune(std::vector<float>& values, double fraction);
 // (0 when it zeroed nothing), which is the max absolute error it injected.
 size_t MagnitudePrune(std::vector<float>& values, double fraction, float& largest_zeroed);
 
-// Fraction of exactly-zero entries (post-pruning sparsity).
-double Sparsity(const std::vector<float>& values);
-
 // Sparse (index, value) encoding size in bytes for a pruned vector, the
 // serialization a pruned update would ship (4-byte index + 4-byte value per
 // survivor). Used to validate the pruning comm-cost multipliers.

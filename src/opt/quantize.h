@@ -27,8 +27,6 @@ struct QuantizedBlob {
   float zero_point = 0.0f;
   int bits = 8;                // 8 or 16
   size_t count = 0;
-
-  size_t ByteSize() const { return QuantizedByteSize(count, bits); }
 };
 
 // The symmetric-range affine map Quantize fits to a vector, and its

@@ -72,20 +72,6 @@ const std::vector<TechniqueKind>& AllTechniques() {
   return kAll;
 }
 
-bool IsQuantization(TechniqueKind kind) {
-  return kind == TechniqueKind::kQuant16 || kind == TechniqueKind::kQuant8;
-}
-
-bool IsPruning(TechniqueKind kind) {
-  return kind == TechniqueKind::kPrune25 || kind == TechniqueKind::kPrune50 ||
-         kind == TechniqueKind::kPrune75;
-}
-
-bool IsPartialTraining(TechniqueKind kind) {
-  return kind == TechniqueKind::kPartial25 || kind == TechniqueKind::kPartial50 ||
-         kind == TechniqueKind::kPartial75;
-}
-
 double PartialTrainingFraction(TechniqueKind kind) {
   switch (kind) {
     case TechniqueKind::kPartial25:

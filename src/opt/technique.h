@@ -48,11 +48,6 @@ const std::vector<TechniqueKind>& ActionTechniques();
 // Every kind including kNone and lossless compression.
 const std::vector<TechniqueKind>& AllTechniques();
 
-// Classification helpers used by the heuristic baseline and analyses.
-bool IsQuantization(TechniqueKind kind);
-bool IsPruning(TechniqueKind kind);
-bool IsPartialTraining(TechniqueKind kind);
-
 // For partial training: fraction of the model excluded from updates.
 double PartialTrainingFraction(TechniqueKind kind);
 // For pruning: fraction of weights removed.

@@ -39,6 +39,17 @@ TEST(AggregatorTest, WeightedMeanMatchesManualAverage) {
   const std::vector<float> out = WeightedMeanAggregate(sets, {3.0, 1.0});
   EXPECT_FLOAT_EQ(out[0], 4.0f);   // 0.75*2 + 0.25*10
   EXPECT_FLOAT_EQ(out[1], 8.0f);   // 0.75*4 + 0.25*20
+  // Only the weight ratios matter: scaling every weight gives the same bits.
+  EXPECT_EQ(WeightedMeanAggregate(sets, {0.75, 0.25}), out);
+  EXPECT_EQ(WeightedMeanAggregate(sets, {2.0, 2.0}), WeightedMeanAggregate(sets, {1.0, 1.0}));
+  // One client gives its model back, and so do identical ones.
+  const std::vector<float> params = {0.5f, -1.25f, 3.0f, 1e-3f};
+  EXPECT_EQ(WeightedMeanAggregate({params}, {7.0}), params);
+  const std::vector<float> same = WeightedMeanAggregate({params, params, params}, {1.0, 2.0, 3.0});
+  ASSERT_EQ(same.size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_NEAR(same[i], params[i], 1e-6);
+  }
 }
 
 TEST(AggregatorTest, FedAvgDelegatesToWeightedMean) {

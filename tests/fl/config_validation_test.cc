@@ -4,7 +4,9 @@
 
 #include "src/fl/experiment.h"
 #include "src/fl/real_engine.h"
+#include "src/fl/sync_engine.h"
 #include "src/fl/vfl_engine.h"
+#include "src/selection/random_selector.h"
 
 namespace floatfl {
 namespace {
@@ -49,6 +51,21 @@ TEST(ConfigValidationDeathTest, ZeroBatchSize) {
   ExperimentConfig config = Valid();
   config.batch_size = 0;
   EXPECT_DEATH(ValidateExperimentConfig(config), "batch_size must be positive");
+}
+
+TEST(ConfigValidationDeathTest, ZeroAlpha) {
+  ExperimentConfig config = Valid();
+  config.alpha = 0.0;
+  EXPECT_DEATH(ValidateExperimentConfig(config), "alpha must be positive");
+}
+
+// The engine refuses the config before it partitions the population, whose
+// Dirichlet draw needs a positive alpha.
+TEST(ConfigValidationDeathTest, SyncEngineRefusesZeroAlpha) {
+  ExperimentConfig config = Valid();
+  config.alpha = 0.0;
+  RandomSelector selector(config.seed);
+  EXPECT_DEATH({ SyncEngine engine(config, &selector, nullptr); }, "alpha must be positive");
 }
 
 TEST(ConfigValidationDeathTest, ZeroAsyncConcurrency) {
@@ -134,6 +151,12 @@ TEST(ConfigValidationDeathTest, RealEngineRefusesZeroRejectNormThreshold) {
   RealFlConfig config = SmallReal();
   config.faults.reject_norm_threshold = 0.0;
   EXPECT_DEATH({ RealFlEngine engine(config); }, "reject_norm_threshold must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroAlpha) {
+  RealFlConfig config = SmallReal();
+  config.alpha = 0.0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "alpha must be positive");
 }
 
 TEST(ConfigValidationDeathTest, RealEngineRefusesCertainChunkLoss) {

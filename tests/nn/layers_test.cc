@@ -117,7 +117,7 @@ TEST(GradientCheckTest, BackpropMatchesFiniteDifferences) {
   const std::vector<int> labels = {0, 1, 2, 1, 0};
 
   auto loss_at = [&](Mlp& m) {
-    return m.EvaluateLoss(x, labels);
+    return m.Evaluate(x, labels).loss;
   };
 
   // Analytic gradient: run one backward pass and capture the gradient by

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <vector>
 
-#include "src/agg/aggregator.h"
 #include "src/common/rng.h"
 #include "src/data/synthetic.h"
 #include "src/nn/optimizer.h"
@@ -25,14 +24,15 @@ TEST(MlpTest, ParamCountMatchesArchitecture) {
 }
 
 // The real engine skips a client's throwaway model init with
-// Rng::Discard(InitDraws(dims)); that must be exactly the constructor's draws.
+// Rng::Discard(Skip(InitDraws(dims))); that must be exactly the constructor's
+// draws.
 TEST(MlpTest, InitDrawsAreTheConstructorsDraws) {
   const std::vector<size_t> dims = {64, 256, 128, 10};
   EXPECT_EQ(Mlp::InitDraws(dims), 64u * 256 + 256u * 128 + 128u * 10);
   Rng constructed(71);
   Rng discarded(71);
   const Mlp model(dims, constructed);
-  discarded.Discard(Mlp::InitDraws(dims));
+  discarded.Discard(Rng::Skip(Mlp::InitDraws(dims)));
   EXPECT_EQ(constructed.SaveRaw(), discarded.SaveRaw());
 }
 
@@ -68,48 +68,6 @@ TEST(MlpTest, GetParametersIntoABufferOverwritesItWhole) {
   EXPECT_EQ(buffer.data(), storage);
 }
 
-TEST(MlpTest, AggregateIsWeightedAverage) {
-  const std::vector<std::vector<float>> sets = {{1.0f, 2.0f}, {3.0f, 6.0f}};
-  const std::vector<float> avg = Mlp::Aggregate(sets, {1.0, 1.0});
-  EXPECT_FLOAT_EQ(avg[0], 2.0f);
-  EXPECT_FLOAT_EQ(avg[1], 4.0f);
-  const std::vector<float> weighted = Mlp::Aggregate(sets, {3.0, 1.0});
-  EXPECT_FLOAT_EQ(weighted[0], 1.5f);
-  EXPECT_FLOAT_EQ(weighted[1], 3.0f);
-}
-
-TEST(MlpTest, AggregateUnequalWeightsGolden) {
-  const std::vector<std::vector<float>> sets = {{2.0f, 4.0f}, {10.0f, 20.0f}};
-  const std::vector<float> out = Mlp::Aggregate(sets, {3.0, 1.0});
-  EXPECT_FLOAT_EQ(out[0], 4.0f);  // 0.75*2 + 0.25*10
-  EXPECT_FLOAT_EQ(out[1], 8.0f);  // 0.75*4 + 0.25*20
-}
-
-// The real engine's FedAvg (through Mlp) and the aggregator's FedAvg rule
-// share one implementation, so they agree to the bit on real parameters.
-TEST(MlpTest, AggregateIsWeightedMeanAggregate) {
-  Rng rng(3);
-  std::vector<std::vector<float>> sets;
-  for (int i = 0; i < 5; ++i) {
-    sets.push_back(Mlp({6, 9, 4}, rng).GetParameters());
-  }
-  const std::vector<double> weights = {12.0, 3.5, 40.0, 1.0, 7.25};
-  EXPECT_EQ(Mlp::Aggregate(sets, weights), WeightedMeanAggregate(sets, weights));
-}
-
-TEST(MlpTest, AggregateSingleClientIsIdentity) {
-  const std::vector<float> params = {0.5f, -1.25f, 3.0f};
-  EXPECT_EQ(Mlp::Aggregate({params}, {7.0}), params);
-}
-
-TEST(MlpTest, AggregateNormalizesByWeightSum) {
-  // Only the weight *ratios* matter: scaling every weight by a constant
-  // produces the bit-identical result.
-  const std::vector<std::vector<float>> sets = {{1.0f, 8.0f}, {5.0f, 0.0f}};
-  EXPECT_EQ(Mlp::Aggregate(sets, {3.0, 1.0}), Mlp::Aggregate(sets, {0.75, 0.25}));
-  EXPECT_EQ(Mlp::Aggregate(sets, {2.0, 2.0}), Mlp::Aggregate(sets, {1.0, 1.0}));
-}
-
 TEST(MlpTest, TrainingLearnsSeparableTask) {
   Rng rng(3);
   SyntheticTaskData task(3, 8, /*separation=*/3.0, rng);
@@ -121,13 +79,13 @@ TEST(MlpTest, TrainingLearnsSeparableTask) {
   task.MakeTestSet(30, rng, &test_x, &test_y);
 
   Mlp net({8, 16, 3}, rng);
-  const double before = net.EvaluateAccuracy(test_x, test_y);
+  const double before = net.Evaluate(test_x, test_y).accuracy;
   SgdConfig config;
   config.learning_rate = 0.1f;
   config.batch_size = 16;
   config.epochs = 20;
   TrainSgd(net, train_x, train_y, config, rng);
-  const double after = net.EvaluateAccuracy(test_x, test_y);
+  const double after = net.Evaluate(test_x, test_y).accuracy;
   EXPECT_GT(after, 0.9);
   EXPECT_GT(after, before);
 }
@@ -153,16 +111,6 @@ TEST(MlpTest, PartialTrainingFreezesLeadingLayers) {
     }
   }
   EXPECT_TRUE(moved);
-}
-
-TEST(MlpTest, FedAvgOfIdenticalModelsIsIdentity) {
-  Rng rng(5);
-  Mlp net({3, 4, 2}, rng);
-  const std::vector<float> params = net.GetParameters();
-  const std::vector<float> agg = Mlp::Aggregate({params, params, params}, {1.0, 2.0, 3.0});
-  for (size_t i = 0; i < params.size(); ++i) {
-    EXPECT_NEAR(agg[i], params[i], 1e-6);
-  }
 }
 
 TEST(SgdTest, CountsBatchesAndSamples) {
@@ -195,12 +143,12 @@ TEST(SgdTest, LossDecreasesOverEpochs) {
   std::vector<int> y;
   task.MakeTestSet(50, rng, &x, &y);
   Mlp net({6, 10, 2}, rng);
-  const double initial_loss = net.EvaluateLoss(x, y);
+  const double initial_loss = net.Evaluate(x, y).loss;
   SgdConfig config;
   config.learning_rate = 0.1f;
   config.epochs = 10;
   TrainSgd(net, x, y, config, rng);
-  EXPECT_LT(net.EvaluateLoss(x, y), initial_loss);
+  EXPECT_LT(net.Evaluate(x, y).loss, initial_loss);
 }
 
 Tensor NormalTensor(size_t rows, size_t cols, Rng& rng) {

@@ -23,13 +23,6 @@ TEST(TensorTest, ConstructionAndFill) {
   EXPECT_FLOAT_EQ(t.At(1, 2), 1.5f);
 }
 
-TEST(TensorTest, FromVector) {
-  const Tensor t = Tensor::FromVector({1.0f, 2.0f, 3.0f});
-  EXPECT_EQ(t.rows(), 1u);
-  EXPECT_EQ(t.cols(), 3u);
-  EXPECT_FLOAT_EQ(t.At(0, 1), 2.0f);
-}
-
 TEST(TensorTest, MatMulKnownResult) {
   Tensor a(2, 3);
   // [[1,2,3],[4,5,6]]
@@ -94,17 +87,14 @@ TEST(TensorTest, ElementwiseOps) {
   Tensor b(1, 3, 3.0f);
   a.AddInPlace(b);
   EXPECT_FLOAT_EQ(a.At(0, 0), 5.0f);
-  a.SubInPlace(b);
-  EXPECT_FLOAT_EQ(a.At(0, 1), 2.0f);
-  a.MulInPlace(b);
-  EXPECT_FLOAT_EQ(a.At(0, 2), 6.0f);
   a.ScaleInPlace(0.5f);
-  EXPECT_FLOAT_EQ(a.At(0, 0), 3.0f);
+  EXPECT_FLOAT_EQ(a.At(0, 2), 2.5f);
 }
 
 TEST(TensorTest, AddRowBroadcast) {
   Tensor a(2, 3, 1.0f);
-  const Tensor row = Tensor::FromVector({10.0f, 20.0f, 30.0f});
+  Tensor row(1, 3);
+  row.flat() = {10.0f, 20.0f, 30.0f};
   a.AddRowBroadcast(row);
   EXPECT_FLOAT_EQ(a.At(0, 0), 11.0f);
   EXPECT_FLOAT_EQ(a.At(1, 2), 31.0f);
@@ -121,12 +111,6 @@ TEST(TensorTest, ColSum) {
   EXPECT_FLOAT_EQ(sum.At(0, 1), 6.0f);
 }
 
-TEST(TensorTest, Norms) {
-  const Tensor t = Tensor::FromVector({3.0f, -4.0f});
-  EXPECT_NEAR(t.L2Norm(), 5.0, 1e-9);
-  EXPECT_NEAR(t.MaxAbs(), 4.0, 1e-9);
-}
-
 TEST(TensorTest, GlorotUniformWithinLimit) {
   Rng rng(7);
   const Tensor t = Tensor::GlorotUniform(10, 20, rng);
@@ -135,7 +119,7 @@ TEST(TensorTest, GlorotUniformWithinLimit) {
     EXPECT_LE(std::fabs(x), limit + 1e-6);
   }
   // Not all zero.
-  EXPECT_GT(t.L2Norm(), 0.0);
+  EXPECT_TRUE(std::any_of(t.flat().begin(), t.flat().end(), [](float x) { return x != 0.0f; }));
 }
 
 // The loops the kernels replaced survive here as their oracles.

@@ -78,15 +78,6 @@ TEST(TechniqueTest, NamesAreUnique) {
   }
 }
 
-TEST(TechniqueTest, ClassificationHelpers) {
-  EXPECT_TRUE(IsQuantization(TechniqueKind::kQuant8));
-  EXPECT_FALSE(IsQuantization(TechniqueKind::kPrune25));
-  EXPECT_TRUE(IsPruning(TechniqueKind::kPrune50));
-  EXPECT_FALSE(IsPruning(TechniqueKind::kPartial50));
-  EXPECT_TRUE(IsPartialTraining(TechniqueKind::kPartial25));
-  EXPECT_FALSE(IsPartialTraining(TechniqueKind::kNone));
-}
-
 TEST(TechniqueTest, FractionHelpers) {
   EXPECT_DOUBLE_EQ(PruningFraction(TechniqueKind::kPrune25), 0.25);
   EXPECT_DOUBLE_EQ(PruningFraction(TechniqueKind::kPrune75), 0.75);

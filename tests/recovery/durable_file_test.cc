@@ -80,18 +80,5 @@ TEST(DurableFileTest, ReaderRefusesEmptyPathAndDirectories) {
   ::rmdir(dir.c_str());
 }
 
-TEST(DurableFileTest, WriteFileWithInjectedIoMatchesDefault) {
-  const std::string a = TempPath("durable_injected_a.bin");
-  const std::string b = TempPath("durable_injected_b.bin");
-  CheckpointWriter w;
-  w.U64(0x1122334455667788ull);
-  w.F64Vec({1.0, 2.0, 3.0});
-  ASSERT_TRUE(w.WriteFile(a));
-  ASSERT_TRUE(w.WriteFile(b, DefaultDurableFile()));
-  EXPECT_EQ(ReadAll(a), ReadAll(b));
-  std::remove(a.c_str());
-  std::remove(b.c_str());
-}
-
 }  // namespace
 }  // namespace floatfl
