@@ -39,12 +39,32 @@ TEST(AggregatorTest, WeightedMeanMatchesManualAverage) {
   const std::vector<float> out = WeightedMeanAggregate(sets, {3.0, 1.0});
   EXPECT_FLOAT_EQ(out[0], 4.0f);   // 0.75*2 + 0.25*10
   EXPECT_FLOAT_EQ(out[1], 8.0f);   // 0.75*4 + 0.25*20
-  // Only the weight ratios matter: scaling every weight gives the same bits.
-  EXPECT_EQ(WeightedMeanAggregate(sets, {0.75, 0.25}), out);
+}
+
+TEST(AggregatorTest, WeightedMeanOfEqualWeightsIsThePlainAverage) {
+  const std::vector<std::vector<float>> sets = {{1.0f, 2.0f}, {3.0f, 6.0f}};
+  const std::vector<float> avg = WeightedMeanAggregate(sets, {1.0, 1.0});
+  EXPECT_FLOAT_EQ(avg[0], 2.0f);
+  EXPECT_FLOAT_EQ(avg[1], 4.0f);
+  const std::vector<float> weighted = WeightedMeanAggregate(sets, {3.0, 1.0});
+  EXPECT_FLOAT_EQ(weighted[0], 1.5f);
+  EXPECT_FLOAT_EQ(weighted[1], 3.0f);
+}
+
+// Only the weight ratios matter: scaling every weight gives the same bits.
+TEST(AggregatorTest, WeightedMeanNormalizesByWeightSum) {
+  const std::vector<std::vector<float>> sets = {{2.0f, 4.0f}, {10.0f, 20.0f}};
+  EXPECT_EQ(WeightedMeanAggregate(sets, {0.75, 0.25}), WeightedMeanAggregate(sets, {3.0, 1.0}));
   EXPECT_EQ(WeightedMeanAggregate(sets, {2.0, 2.0}), WeightedMeanAggregate(sets, {1.0, 1.0}));
-  // One client gives its model back, and so do identical ones.
+}
+
+TEST(AggregatorTest, WeightedMeanSingleClientIsIdentity) {
   const std::vector<float> params = {0.5f, -1.25f, 3.0f, 1e-3f};
   EXPECT_EQ(WeightedMeanAggregate({params}, {7.0}), params);
+}
+
+TEST(AggregatorTest, WeightedMeanOfIdenticalModelsIsIdentity) {
+  const std::vector<float> params = {0.5f, -1.25f, 3.0f, 1e-3f};
   const std::vector<float> same = WeightedMeanAggregate({params, params, params}, {1.0, 2.0, 3.0});
   ASSERT_EQ(same.size(), params.size());
   for (size_t i = 0; i < params.size(); ++i) {

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace floatfl {
@@ -135,6 +136,20 @@ TEST(RngTest, SkipMatchesNextU64CallsAndKeepsTheNormalCache) {
   }
 }
 
+// Skips compose: skipping a draws and then b is skipping a + b.
+TEST(RngTest, DiscardOfTwoSkipsIsDiscardOfTheirSum) {
+  const std::pair<uint64_t, uint64_t> splits[] = {
+      {1, 1}, {63, 1}, {200, 57}, {255, 256}, {50432, uint64_t{1} << 20}};
+  for (const auto& [a, b] : splits) {
+    Rng twice(83);
+    Rng once(83);
+    twice.Discard(Rng::Skip(a));
+    twice.Discard(Rng::Skip(b));
+    once.Discard(Rng::Skip(a + b));
+    EXPECT_EQ(twice.SaveRaw(), once.SaveRaw()) << a << " + " << b;
+  }
+}
+
 // The minimal polynomial of a GF(2) sequence, by Berlekamp–Massey: the
 // connection polynomial C (C[0] = 1) of the shortest linear recurrence
 // sum_i C[i] a[t - i] = 0 that generates `bits`, and its length L.
@@ -194,6 +209,44 @@ TEST(RngTest, CharacteristicPolynomialIsTheGeneratorsMinimalPolynomial) {
     }
     EXPECT_EQ(derived, Rng::kCharacteristicPolynomial) << seed;
   }
+}
+
+// The draw WeightedIndex documents, by inverse CDF over the positive weights:
+// one NextDouble scaled by their sum, or one UniformInt when there are none.
+size_t InverseCdfIndex(Rng& rng, const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) {
+    total += std::max(w, 0.0);
+  }
+  if (total <= 0.0) {
+    return static_cast<size_t>(rng.UniformInt(weights.size()));
+  }
+  double r = rng.NextDouble() * total;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    const double w = std::max(weights[i], 0.0);
+    if (r < w) {
+      return i;
+    }
+    r -= w;
+  }
+  return weights.size() - 1;
+}
+
+TEST(RngTest, WeightedIndexWithItsTotalIsTheSameDraw) {
+  const std::vector<double> weights = {0.3, -1.0, 0.0, 2.5, 1e-9, 0.7};
+  const double total = Rng::WeightTotal(weights);
+  EXPECT_EQ(total, 0.3 + 2.5 + 1e-9 + 0.7);
+  Rng a(67);
+  Rng b(67);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(a.WeightedIndex(weights, total), InverseCdfIndex(b, weights));
+  }
+  // The all-zero fallback draws a uniform index.
+  const std::vector<double> zeros(5, 0.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(a.WeightedIndex(zeros, Rng::WeightTotal(zeros)), InverseCdfIndex(b, zeros));
+  }
+  EXPECT_EQ(a.SaveRaw(), b.SaveRaw());
 }
 
 TEST(RngTest, WeightedIndexProportional) {
@@ -303,6 +356,67 @@ double StreamCorrelation(Rng& a, Rng& b, int n) {
   const double va = saa / n - (sa / n) * (sa / n);
   const double vb = sbb / n - (sb / n) * (sb / n);
   return cov / std::sqrt(va * vb);
+}
+
+TEST(RngTest, ForkedStreamsAreIndependent) {
+  Rng parent(51);
+  Rng child = parent.ForkKeyed(Rng::StreamKey(0, 0));
+  int equal = 0;
+  for (int i = 0; i < 100; ++i) {
+    if (parent.NextU64() == child.NextU64()) {
+      ++equal;
+    }
+  }
+  EXPECT_LT(equal, 3);
+}
+
+TEST(RngTest, ForkedStreamsAreStatisticallyUncorrelated) {
+  // Parent vs child, sibling vs sibling, and one key forked from parent
+  // states one draw apart: for n = 20000 i.i.d. uniforms the sample
+  // correlation is ~N(0, 1/sqrt(n)); |r| < 0.05 is a 7-sigma bound, so this
+  // only fails for genuinely correlated streams.
+  const int n = 20000;
+  for (uint64_t seed : {3ULL, 51ULL, 997ULL}) {
+    {
+      Rng parent(seed);
+      Rng child = parent.ForkKeyed(Rng::StreamKey(0, 0));
+      EXPECT_LT(std::fabs(StreamCorrelation(parent, child, n)), 0.05)
+          << "parent/child, seed " << seed;
+    }
+    Rng parent(seed);
+    Rng child1 = parent.ForkKeyed(Rng::StreamKey(0, 0));
+    Rng child2 = parent.ForkKeyed(Rng::StreamKey(0, 1));
+    EXPECT_LT(std::fabs(StreamCorrelation(child1, child2, n)), 0.05)
+        << "siblings, seed " << seed;
+    Rng before = parent.ForkKeyed(Rng::StreamKey(2, 9));
+    parent.NextU64();
+    Rng after = parent.ForkKeyed(Rng::StreamKey(2, 9));
+    EXPECT_LT(std::fabs(StreamCorrelation(before, after, n)), 0.05)
+        << "one key, parent one draw apart, seed " << seed;
+  }
+}
+
+TEST(RngTest, ForkFromSameParentStateIsOrderDeterministic) {
+  // Two parents in the same state give each key the same child whatever
+  // order the keys are forked in, and each child stream is reproducible draw
+  // for draw: the engines fork clients in whatever order threads reach them.
+  const Rng a(1234);
+  const Rng b(1234);
+  std::vector<Rng> ascending;
+  std::vector<Rng> descending;
+  for (uint64_t client = 0; client < 10; ++client) {
+    ascending.push_back(a.ForkKeyed(Rng::StreamKey(3, client)));
+  }
+  for (uint64_t client = 10; client-- > 0;) {
+    descending.push_back(b.ForkKeyed(Rng::StreamKey(3, client)));
+  }
+  for (size_t client = 0; client < 10; ++client) {
+    Rng& ca = ascending[client];
+    Rng& cb = descending[9 - client];
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_EQ(ca.NextU64(), cb.NextU64()) << "client " << client << " draw " << i;
+    }
+  }
 }
 
 TEST(RngTest, ForkKeyedDoesNotAdvanceParent) {

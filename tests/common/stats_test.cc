@@ -42,6 +42,17 @@ TEST(RunningStatTest, SingleValueHasZeroVariance) {
   EXPECT_EQ(s.Mean(), 5.0);
 }
 
+// Welford's update keeps the variance of samples far from zero, where a sum
+// of squares would lose it to cancellation: 1e18 has an ulp of 128.
+TEST(RunningStatTest, StableUnderLargeOffset) {
+  RunningStat s;
+  for (double x : {4.0, 7.0, 13.0, 16.0}) {
+    s.Add(1e9 + x);
+  }
+  EXPECT_DOUBLE_EQ(s.Mean(), 1e9 + 10.0);
+  EXPECT_NEAR(s.Variance(), 22.5, 1e-6);
+}
+
 TEST(PercentileTest, EmptyIsZero) { EXPECT_EQ(Percentile({}, 50.0), 0.0); }
 
 TEST(PercentileTest, SingleValue) { EXPECT_EQ(Percentile({7.0}, 90.0), 7.0); }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -355,6 +356,56 @@ TEST(CheckpointResumeTest, VflEngineGoldenResume) {
   resumed.SaveState(resumed_state);
   EXPECT_EQ(full_state.buffer(), resumed_state.buffer());
   std::remove(path.c_str());
+}
+
+// Takes each write instead of putting it on disk.
+class RecordingDurableFile : public DurableFile {
+ public:
+  bool Write(const std::string& path, const std::string& bytes) override {
+    paths.push_back(path);
+    writes.push_back(bytes);
+    return true;
+  }
+  std::vector<std::string> paths;
+  std::vector<std::string> writes;
+};
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// Save without an io writes through DefaultDurableFile(). Given one, it hands
+// that io the same bytes, once, under the path it was given, and puts
+// nothing on disk itself.
+template <typename Engine>
+void ExpectInjectedIoGetsTheDefaultBytes(const Engine& engine, const char* name) {
+  const std::string path = TempPath("save_default_io.ckpt");
+  const std::string injected_path = TempPath("save_injected_io.ckpt");
+  RecordingDurableFile io;
+  ASSERT_TRUE(Checkpointer::Save(path, engine)) << name;
+  ASSERT_TRUE(Checkpointer::Save(injected_path, engine, io)) << name;
+  ASSERT_EQ(io.writes.size(), 1u) << name;
+  EXPECT_EQ(io.paths[0], injected_path) << name;
+  EXPECT_EQ(io.writes[0], ReadAll(path)) << name;
+  EXPECT_FALSE(std::ifstream(injected_path).good()) << name;
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointerTest, SaveHandsAnInjectedIoTheBytesItWritesByDefault) {
+  const ExperimentConfig config = FaultyConfig();
+  RandomSelector selector(config.seed);
+  SyncEngine sync(config, &selector, nullptr);
+  sync.RunRound(0);
+  ExpectInjectedIoGetsTheDefaultBytes(sync, "sync");
+  AsyncEngine async_engine(config, nullptr);
+  async_engine.StepOnce();
+  ExpectInjectedIoGetsTheDefaultBytes(async_engine, "async");
+  RealFlEngine real(SmallRealConfig());
+  real.RunRound(TechniqueKind::kNone);
+  ExpectInjectedIoGetsTheDefaultBytes(real, "real");
+  const VflEngine vfl(SmallVflConfig());
+  ExpectInjectedIoGetsTheDefaultBytes(vfl, "vfl");
 }
 
 // ---------------------------------------------------------------------------

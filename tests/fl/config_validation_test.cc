@@ -2,6 +2,9 @@
 // violated invariant must abort with a message naming the offending field.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/fl/async_engine.h"
 #include "src/fl/experiment.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/sync_engine.h"
@@ -59,6 +62,18 @@ TEST(ConfigValidationDeathTest, ZeroAlpha) {
   EXPECT_DEATH(ValidateExperimentConfig(config), "alpha must be positive");
 }
 
+TEST(ConfigValidationDeathTest, NegativeAlpha) {
+  ExperimentConfig config = Valid();
+  config.alpha = -0.5;
+  EXPECT_DEATH(ValidateExperimentConfig(config), "alpha must be positive");
+}
+
+TEST(ConfigValidationDeathTest, NanAlpha) {
+  ExperimentConfig config = Valid();
+  config.alpha = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(ValidateExperimentConfig(config), "alpha must be positive");
+}
+
 // The engine refuses the config before it partitions the population, whose
 // Dirichlet draw needs a positive alpha.
 TEST(ConfigValidationDeathTest, SyncEngineRefusesZeroAlpha) {
@@ -66,6 +81,12 @@ TEST(ConfigValidationDeathTest, SyncEngineRefusesZeroAlpha) {
   config.alpha = 0.0;
   RandomSelector selector(config.seed);
   EXPECT_DEATH({ SyncEngine engine(config, &selector, nullptr); }, "alpha must be positive");
+}
+
+TEST(ConfigValidationDeathTest, AsyncEngineRefusesZeroAlpha) {
+  ExperimentConfig config = Valid();
+  config.alpha = 0.0;
+  EXPECT_DEATH({ AsyncEngine engine(config, nullptr); }, "alpha must be positive");
 }
 
 TEST(ConfigValidationDeathTest, ZeroAsyncConcurrency) {
@@ -156,6 +177,12 @@ TEST(ConfigValidationDeathTest, RealEngineRefusesZeroRejectNormThreshold) {
 TEST(ConfigValidationDeathTest, RealEngineRefusesZeroAlpha) {
   RealFlConfig config = SmallReal();
   config.alpha = 0.0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "alpha must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesNegativeAlpha) {
+  RealFlConfig config = SmallReal();
+  config.alpha = -0.5;
   EXPECT_DEATH({ RealFlEngine engine(config); }, "alpha must be positive");
 }
 

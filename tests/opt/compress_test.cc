@@ -37,6 +37,9 @@ TEST(CompressTest, RoundTripEmpty) {
   EXPECT_TRUE(RleDecompress(RleCompress({})).empty());
 }
 
+// No header: an empty update costs no bytes on the wire.
+TEST(CompressTest, EmptyInputCompressesToNothing) { EXPECT_TRUE(RleCompress({}).empty()); }
+
 TEST(CompressTest, RoundTripExactOnRandomData) {
   Rng rng(1);
   std::vector<uint8_t> data(4096);

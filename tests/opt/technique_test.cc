@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <utility>
 
 namespace floatfl {
 namespace {
@@ -75,6 +77,31 @@ TEST(TechniqueTest, NamesAreUnique) {
   std::set<std::string> names;
   for (TechniqueKind kind : AllTechniques()) {
     EXPECT_TRUE(names.insert(ToString(kind)).second) << ToString(kind);
+  }
+}
+
+// QuantizationBits, PruningFraction and PartialTrainingFraction sort every
+// kind into at most one family: quantization lowers the bit width, pruning
+// removes weights, partial training freezes part of the model.
+TEST(TechniqueTest, FractionHelpersPutEachKindInOneFamilyAtMost) {
+  enum class Family { kNone, kQuant, kPrune, kPartial };
+  const std::pair<TechniqueKind, Family> expected[] = {
+      {TechniqueKind::kNone, Family::kNone},
+      {TechniqueKind::kQuant16, Family::kQuant},
+      {TechniqueKind::kQuant8, Family::kQuant},
+      {TechniqueKind::kPrune25, Family::kPrune},
+      {TechniqueKind::kPrune50, Family::kPrune},
+      {TechniqueKind::kPrune75, Family::kPrune},
+      {TechniqueKind::kPartial25, Family::kPartial},
+      {TechniqueKind::kPartial50, Family::kPartial},
+      {TechniqueKind::kPartial75, Family::kPartial},
+      {TechniqueKind::kCompressLossless, Family::kNone},
+  };
+  ASSERT_EQ(AllTechniques().size(), std::size(expected));
+  for (const auto& [kind, family] : expected) {
+    EXPECT_EQ(QuantizationBits(kind) < 32, family == Family::kQuant) << ToString(kind);
+    EXPECT_EQ(PruningFraction(kind) > 0.0, family == Family::kPrune) << ToString(kind);
+    EXPECT_EQ(PartialTrainingFraction(kind) > 0.0, family == Family::kPartial) << ToString(kind);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/failure/checkpoint_io.h"
 
@@ -78,6 +79,36 @@ TEST(DurableFileTest, ReaderRefusesEmptyPathAndDirectories) {
   CheckpointReader r2("");
   EXPECT_FALSE(CheckpointReader::FromFile(dir, &r2));
   ::rmdir(dir.c_str());
+}
+
+// Takes each write instead of putting it on disk.
+class RecordingDurableFile : public DurableFile {
+ public:
+  bool Write(const std::string& path, const std::string& bytes) override {
+    paths.push_back(path);
+    writes.push_back(bytes);
+    return true;
+  }
+  std::vector<std::string> paths;
+  std::vector<std::string> writes;
+};
+
+// WriteFile without an io writes through DefaultDurableFile(); an injected io
+// gets the same bytes, once, and nothing reaches the disk.
+TEST(DurableFileTest, WriteFileWithInjectedIoMatchesDefault) {
+  const std::string a = TempPath("durable_injected_a.bin");
+  const std::string b = TempPath("durable_injected_b.bin");
+  CheckpointWriter w;
+  w.U64(0x1122334455667788ull);
+  w.F64Vec({1.0, 2.0, 3.0});
+  ASSERT_TRUE(w.WriteFile(a));
+  RecordingDurableFile io;
+  ASSERT_TRUE(w.WriteFile(b, io));
+  ASSERT_EQ(io.writes.size(), 1u);
+  EXPECT_EQ(io.paths[0], b);
+  EXPECT_EQ(io.writes[0], ReadAll(a));
+  EXPECT_FALSE(Exists(b));
+  std::remove(a.c_str());
 }
 
 }  // namespace
