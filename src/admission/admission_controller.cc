@@ -147,39 +147,4 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
   return verdicts;
 }
 
-void AdmissionController::SaveState(CheckpointWriter& w) const {
-  w.Size(seen_.size());
-  for (const DedupKey& key : seen_) {
-    w.U64(std::get<0>(key));
-    w.U64(std::get<1>(key));
-    w.U64(std::get<2>(key));
-  }
-  w.Size(buckets_.size());
-  for (const auto& [client, bucket] : buckets_) {
-    w.U64(client);
-    w.F64(bucket.tokens);
-    w.U64(bucket.last_refill_round);
-  }
-}
-
-void AdmissionController::LoadState(CheckpointReader& r) {
-  seen_.clear();
-  const size_t keys = r.Size();
-  for (size_t i = 0; i < keys && r.ok(); ++i) {
-    const uint64_t client = r.U64();
-    const uint64_t round = r.U64();
-    const uint64_t attempt = r.U64();
-    seen_.insert(DedupKey{client, round, attempt});
-  }
-  buckets_.clear();
-  const size_t buckets = r.Size();
-  for (size_t i = 0; i < buckets && r.ok(); ++i) {
-    const uint64_t client = r.U64();
-    Bucket bucket;
-    bucket.tokens = r.F64();
-    bucket.last_refill_round = r.U64();
-    buckets_.emplace(client, bucket);
-  }
-}
-
 }  // namespace floatfl

@@ -72,15 +72,25 @@ class AdmissionController {
   // Checkpoint/resume of the gate's cross-round state: the dedup window and
   // the token buckets. (The ingress queue drains within a burst and has no
   // cross-round state.)
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.seen_, self.buckets_);
+  }
+
   // (client, round, attempt) — sorted so serialization is deterministic.
   using DedupKey = std::tuple<uint64_t, uint64_t, uint64_t>;
   struct Bucket {
     double tokens = 0.0;
     uint64_t last_refill_round = 0;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      Io(a, self.tokens, self.last_refill_round);
+    }
   };
 
   AdmissionConfig config_;

@@ -34,6 +34,16 @@ struct LoggedUpload {
   // Real engine only: the accepted parameter vector and its FedAvg weight.
   std::vector<float> params;
   double weight = 0.0;
+
+  // An invalid entry stores its flag alone.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.valid);
+    if (self.valid) {
+      Io(a, self.round, self.attempt, self.quality, self.upload_comm_s, self.upload_mb,
+         self.technique, self.params, self.weight);
+    }
+  }
 };
 
 class UpdateLog {
@@ -54,43 +64,8 @@ class UpdateLog {
 
   size_t size() const { return entries_.size(); }
 
-  void SaveState(CheckpointWriter& w) const {
-    w.Size(entries_.size());
-    for (const LoggedUpload& e : entries_) {
-      w.Bool(e.valid);
-      if (!e.valid) {
-        continue;
-      }
-      w.U64(e.round);
-      w.U64(e.attempt);
-      w.F64(e.quality);
-      w.F64(e.upload_comm_s);
-      w.F64(e.upload_mb);
-      w.U32(e.technique);
-      w.F32Vec(e.params);
-      w.F64(e.weight);
-    }
-  }
-  void LoadState(CheckpointReader& r) {
-    const size_t n = r.Size();
-    entries_.clear();
-    for (size_t i = 0; i < n && r.ok(); ++i) {
-      entries_.emplace_back();
-      LoggedUpload& e = entries_.back();
-      e.valid = r.Bool();
-      if (!e.valid) {
-        continue;
-      }
-      e.round = r.U64();
-      e.attempt = r.U64();
-      e.quality = r.F64();
-      e.upload_comm_s = r.F64();
-      e.upload_mb = r.F64();
-      e.technique = r.U32();
-      e.params = r.F32Vec();
-      e.weight = r.F64();
-    }
-  }
+  void SaveState(CheckpointWriter& w) const { Io(w, entries_); }
+  void LoadState(CheckpointReader& r) { Io(r, entries_); }
 
  private:
   std::vector<LoggedUpload> entries_;

@@ -76,18 +76,6 @@ std::vector<float> Aggregator::Aggregate(const std::vector<std::vector<float>>& 
   return out;
 }
 
-void Aggregator::SaveState(CheckpointWriter& w) const {
-  w.Size(totals_.updates_clipped);
-  w.Size(totals_.krum_rejections);
-  w.Size(totals_.updates_trimmed);
-}
-
-void Aggregator::LoadState(CheckpointReader& r) {
-  totals_.updates_clipped = r.Size();
-  totals_.krum_rejections = r.Size();
-  totals_.updates_trimmed = r.Size();
-}
-
 namespace {
 
 class FedAvgAggregator : public Aggregator {

@@ -69,8 +69,8 @@ class Aggregator {
   // Cumulative defense counters across all rounds (checkpointed).
   const AggregatorStats& totals() const { return totals_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  protected:
   virtual std::vector<float> DoAggregate(const std::vector<std::vector<float>>& updates,
@@ -79,6 +79,11 @@ class Aggregator {
                                          AggregatorStats& stats, ThreadPool* pool) = 0;
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.totals_.updates_clipped, self.totals_.krum_rejections, self.totals_.updates_trimmed);
+  }
+
   AggregatorConfig config_;
   AggregatorStats totals_;
 };

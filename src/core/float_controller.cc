@@ -70,28 +70,4 @@ std::string FloatController::Name() const {
   return agent_.encoder().config().include_human_feedback ? "float-rlhf" : "float-rl";
 }
 
-void FloatController::SaveState(CheckpointWriter& w) const {
-  agent_.SaveState(w);
-  w.Size(round_);
-  w.Size(reports_this_round_);
-  w.Size(calibration_samples_);
-  w.Bool(calibrated_);
-  w.F64Vec(cpu_samples_);
-  w.F64Vec(mem_samples_);
-  w.F64Vec(net_samples_);
-  w.F64Vec(deadline_samples_);
-}
-
-void FloatController::LoadState(CheckpointReader& r) {
-  agent_.LoadState(r);
-  round_ = r.Size();
-  reports_this_round_ = r.Size();
-  calibration_samples_ = r.Size();
-  calibrated_ = r.Bool();
-  cpu_samples_ = r.F64Vec();
-  mem_samples_ = r.F64Vec();
-  net_samples_ = r.F64Vec();
-  deadline_samples_ = r.F64Vec();
-}
-
 }  // namespace floatfl

@@ -42,8 +42,8 @@ class FloatController final : public TuningPolicy {
               TechniqueKind technique, bool participated, double accuracy_improvement) override;
   std::string Name() const override;
 
-  void SaveState(CheckpointWriter& w) const override;
-  void LoadState(CheckpointReader& r) override;
+  void SaveState(CheckpointWriter& w) const override { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) override { Fields(*this, r); }
 
   RlhfAgent& agent() { return agent_; }
   const RlhfAgent& agent() const { return agent_; }
@@ -54,6 +54,13 @@ class FloatController final : public TuningPolicy {
   }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.agent_, self.round_, self.reports_this_round_, self.calibration_samples_,
+       self.calibrated_, self.cpu_samples_, self.mem_samples_, self.net_samples_,
+       self.deadline_samples_);
+  }
+
   void MaybeCollectCalibration(const ClientObservation& client);
 
   RlhfAgent agent_;

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "src/common/rng.h"
-#include "src/failure/checkpoint_util.h"
+#include "src/failure/checkpoint_io.h"
 #include "src/fl/tuning_policy.h"
 
 namespace floatfl {
@@ -29,8 +29,8 @@ class HeuristicPolicy final : public TuningPolicy {
               double) override {}
   std::string Name() const override { return "heuristic"; }
 
-  void SaveState(CheckpointWriter& w) const override { SaveRng(w, rng_); }
-  void LoadState(CheckpointReader& r) override { LoadRng(r, rng_); }
+  void SaveState(CheckpointWriter& w) const override { Io(w, rng_); }
+  void LoadState(CheckpointReader& r) override { Io(r, rng_); }
 
  private:
   Rng rng_;

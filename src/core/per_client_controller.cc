@@ -58,25 +58,4 @@ size_t PerClientController::TotalMemoryBytes() const {
   return total;
 }
 
-void PerClientController::SaveState(CheckpointWriter& w) const {
-  w.Size(agents_.size());
-  for (const auto& agent : agents_) {
-    agent->SaveState(w);
-  }
-  w.SizeVec(rounds_);
-}
-
-void PerClientController::LoadState(CheckpointReader& r) {
-  const size_t n = r.Size();
-  FLOATFL_CHECK_MSG(n == agents_.size() || !r.ok(),
-                    "checkpoint policy shape mismatch: per-client agent count differs");
-  if (n != agents_.size()) {
-    return;
-  }
-  for (auto& agent : agents_) {
-    agent->LoadState(r);
-  }
-  rounds_ = r.SizeVec();
-}
-
 }  // namespace floatfl

@@ -32,8 +32,8 @@ class PerClientController final : public TuningPolicy {
               TechniqueKind technique, bool participated, double accuracy_improvement) override;
   std::string Name() const override { return "float-per-client"; }
 
-  void SaveState(CheckpointWriter& w) const override;
-  void LoadState(CheckpointReader& r) override;
+  void SaveState(CheckpointWriter& w) const override { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) override { Fields(*this, r); }
 
   RlhfAgent& agent(size_t client_id);
   size_t NumClients() const { return agents_.size(); }
@@ -42,6 +42,12 @@ class PerClientController final : public TuningPolicy {
   size_t TotalMemoryBytes() const;
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    IoFixed(a, self.agents_, "checkpoint policy shape mismatch: per-client agent count differs");
+    Io(a, self.rounds_);
+  }
+
   std::vector<std::unique_ptr<RlhfAgent>> agents_;
   std::vector<size_t> rounds_;  // per-client local round counters
 };

@@ -113,14 +113,4 @@ bool QTable::Load(const std::string& path) {
   return true;
 }
 
-void QTable::SaveState(CheckpointWriter& w) const {
-  w.F64Vec(q_);
-  w.U32Vec(visits_);
-}
-
-void QTable::LoadState(CheckpointReader& r) {
-  q_ = r.F64Vec();
-  visits_ = r.U32Vec();
-}
-
 }  // namespace floatfl

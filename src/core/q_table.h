@@ -51,10 +51,15 @@ class QTable {
 
   // Binary checkpoint of the learned values and visit counts; the shape is
   // rebuilt from config at construction, so only the payload is stored.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.q_, self.visits_);
+  }
+
   size_t Index(size_t state, size_t action) const;
 
   size_t num_states_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -281,46 +280,6 @@ size_t RlhfAgent::MemoryBytes() const {
   return table_.MemoryBytes() + ma_participation_.size() * sizeof(double) +
          ma_accuracy_.size() * sizeof(double) + ma_seen_.size() +
          cached_accuracy_.size() * sizeof(double) + cache_valid_.size();
-}
-
-void RlhfAgent::SaveState(CheckpointWriter& w) const {
-  encoder_.SaveState(w);
-  SaveRng(w, rng_);
-  table_.SaveState(w);
-  w.F64Vec(ma_participation_);
-  w.F64Vec(ma_accuracy_);
-  w.U8Vec(ma_seen_);
-  w.F64Vec(cached_accuracy_);
-  w.U8Vec(cache_valid_);
-  w.F64(max_improvement_seen_);
-  w.F64Vec(global_action_value_);
-  w.U32Vec(global_action_count_);
-  w.U32Vec(run_action_count_);
-  w.F64Vec(run_action_success_);
-  w.F64Vec(run_action_accuracy_);
-  w.F64Vec(reward_history_);
-  w.Size(rejected_rewards_);
-  w.Size(rejected_observations_);
-}
-
-void RlhfAgent::LoadState(CheckpointReader& r) {
-  encoder_.LoadState(r);
-  LoadRng(r, rng_);
-  table_.LoadState(r);
-  ma_participation_ = r.F64Vec();
-  ma_accuracy_ = r.F64Vec();
-  ma_seen_ = r.U8Vec();
-  cached_accuracy_ = r.F64Vec();
-  cache_valid_ = r.U8Vec();
-  max_improvement_seen_ = r.F64();
-  global_action_value_ = r.F64Vec();
-  global_action_count_ = r.U32Vec();
-  run_action_count_ = r.U32Vec();
-  run_action_success_ = r.F64Vec();
-  run_action_accuracy_ = r.F64Vec();
-  reward_history_ = r.F64Vec();
-  rejected_rewards_ = r.Size();
-  rejected_observations_ = r.Size();
 }
 
 }  // namespace floatfl

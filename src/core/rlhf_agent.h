@@ -118,8 +118,8 @@ class RlhfAgent {
 
   // Checkpoint/resume of the full learned state, including the exploration
   // RNG, so a resumed agent continues the exact same decision sequence.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
   const QTable& table() const { return table_; }
   QTable& mutable_table() { return table_; }
@@ -128,6 +128,15 @@ class RlhfAgent {
   const RlhfConfig& config() const { return config_; }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.encoder_, self.rng_, self.table_, self.ma_participation_, self.ma_accuracy_,
+       self.ma_seen_, self.cached_accuracy_, self.cache_valid_, self.max_improvement_seen_,
+       self.global_action_value_, self.global_action_count_, self.run_action_count_,
+       self.run_action_success_, self.run_action_accuracy_, self.reward_history_,
+       self.rejected_rewards_, self.rejected_observations_);
+  }
+
   static int ActionIndexOf(TechniqueKind kind);
   // Replaces non-finite observation fields with neutral defaults (counted in
   // rejected_observations_) so a poisoned trace cannot derail state encoding.

@@ -97,24 +97,30 @@ void StateEncoder::FitResourceBins(const std::vector<double>& cpu_samples,
   RecomputeNumStates();
 }
 
-void StateEncoder::SaveState(CheckpointWriter& w) const {
-  w.F64Vec(cpu_bins_.boundaries());
-  w.F64Vec(mem_bins_.boundaries());
-  w.F64Vec(net_bins_.boundaries());
-  w.F64Vec(deadline_bins_.boundaries());
-  w.F64Vec(batch_bins_.boundaries());
-  w.F64Vec(epoch_bins_.boundaries());
-  w.F64Vec(participant_bins_.boundaries());
+namespace {
+
+// A discretizer is stored as its boundaries.
+void BinsIo(CheckpointWriter& w, const Discretizer& bins) { Io(w, bins.boundaries()); }
+void BinsIo(CheckpointReader& r, Discretizer& bins) {
+  std::vector<double> boundaries;
+  Io(r, boundaries);
+  bins = Discretizer(std::move(boundaries));
 }
 
+}  // namespace
+
+template <typename Self, typename Archive>
+void StateEncoder::Fields(Self& self, Archive& a) {
+  for (auto* bins : {&self.cpu_bins_, &self.mem_bins_, &self.net_bins_, &self.deadline_bins_,
+                     &self.batch_bins_, &self.epoch_bins_, &self.participant_bins_}) {
+    BinsIo(a, *bins);
+  }
+}
+
+void StateEncoder::SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+
 void StateEncoder::LoadState(CheckpointReader& r) {
-  cpu_bins_ = Discretizer(r.F64Vec());
-  mem_bins_ = Discretizer(r.F64Vec());
-  net_bins_ = Discretizer(r.F64Vec());
-  deadline_bins_ = Discretizer(r.F64Vec());
-  batch_bins_ = Discretizer(r.F64Vec());
-  epoch_bins_ = Discretizer(r.F64Vec());
-  participant_bins_ = Discretizer(r.F64Vec());
+  Fields(*this, r);
   RecomputeNumStates();
 }
 

@@ -49,6 +49,9 @@ class StateEncoder {
   void LoadState(CheckpointReader& r);
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a);
+
   StateEncoderConfig config_;
   Discretizer cpu_bins_;
   Discretizer mem_bins_;

@@ -10,6 +10,16 @@ bool CheckpointWriter::WriteFile(const std::string& path, DurableFile& io) const
   return io.Write(path, buf_);
 }
 
+void CheckpointReader::Raw(void* p, size_t n) {
+  if (!ok_ || pos_ + n > buf_.size()) {
+    ok_ = false;
+    std::memset(p, 0, n);
+    return;
+  }
+  std::memcpy(p, buf_.data() + pos_, n);
+  pos_ += n;
+}
+
 bool CheckpointReader::FromFile(const std::string& path, CheckpointReader* out) {
   // Refuse degenerate paths outright: an empty name, or a directory (reading
   // one through ifstream "succeeds" with zero bytes on some libstdc++

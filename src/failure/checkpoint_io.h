@@ -8,14 +8,38 @@
 // and flushes to disk atomically (write temp, rename); the reader validates
 // length on every primitive and latches a failure flag instead of throwing,
 // so a truncated or corrupted checkpoint is reported, never trusted.
+//
+// Every checkpointed type lists its fields once, in archive order, and both
+// directions walk that one list (DESIGN.md §8): `Io(archive, fields...)`
+// writes each field through a CheckpointWriter and reads it back through a
+// CheckpointReader. The encoding follows the field's C++ type:
+//   bool, uint8_t, uint32_t, uint64_t (size_t), float, double: their own
+//       width (bool as one byte);
+//   an enum: u32;
+//   std::string: a u64 length, then its bytes;
+//   a container (vector, deque, set, map): a u64 count, then its elements;
+//       a read bounds the count by the bytes left;
+//   a pair or tuple (so a map entry): its elements in order;
+//   a struct with a static `Fields(self, archive)`: that list;
+//   a component with SaveState/LoadState: its own walk;
+//   an Rng: its six raw state words.
+// Any other type does not compile; a field stored at another width than its
+// type's says so with IoAs<Stored>.
 #ifndef SRC_FAILURE_CHECKPOINT_IO_H_
 #define SRC_FAILURE_CHECKPOINT_IO_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
-#include <vector>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
+#include "src/common/check.h"
+#include "src/common/rng.h"
 #include "src/failure/durable_file.h"
 
 namespace floatfl {
@@ -37,37 +61,16 @@ class CheckpointWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     U32(bits);
   }
-
-  void F64Vec(const std::vector<double>& v) {
-    Size(v.size());
-    for (double x : v) F64(x);
-  }
-  void F32Vec(const std::vector<float>& v) {
-    Size(v.size());
-    for (float x : v) F32(x);
-  }
-  void SizeVec(const std::vector<size_t>& v) {
-    Size(v.size());
-    for (size_t x : v) Size(x);
-  }
-  void U32Vec(const std::vector<uint32_t>& v) {
-    Size(v.size());
-    for (uint32_t x : v) U32(x);
-  }
-  void U8Vec(const std::vector<uint8_t>& v) {
-    Size(v.size());
-    for (uint8_t x : v) U8(x);
-  }
-  void BoolVec(const std::vector<bool>& v) {
-    Size(v.size());
-    for (bool x : v) Bool(x);
-  }
   // Length-prefixed byte string; carries nested archive blobs (the guard's
   // snapshot ring stores whole serialized states as opaque payloads).
   void Str(const std::string& s) {
     Size(s.size());
     buf_.append(s);
   }
+
+  // A write never fails, so a walk states a read's check once:
+  // FLOATFL_CHECK_MSG(matches || !a.ok(), ...).
+  bool ok() const { return true; }
 
   const std::string& buffer() const { return buf_; }
 
@@ -124,26 +127,25 @@ class CheckpointReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
-
-  std::vector<double> F64Vec() { return Vec<double>(&CheckpointReader::F64); }
-  std::vector<float> F32Vec() { return Vec<float>(&CheckpointReader::F32); }
-  std::vector<size_t> SizeVec() { return Vec<size_t>(&CheckpointReader::Size); }
-  std::vector<uint32_t> U32Vec() { return Vec<uint32_t>(&CheckpointReader::U32); }
-  std::vector<uint8_t> U8Vec() { return Vec<uint8_t>(&CheckpointReader::U8); }
-  std::vector<bool> BoolVec() {
-    const size_t n = SaneCount();
-    std::vector<bool> v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok(); ++i) v.push_back(Bool());
-    return v;
-  }
   std::string Str() {
-    const size_t n = SaneCount();
+    const size_t n = Count();
     std::string s;
     if (!ok_ || n == 0) return s;
     s.assign(buf_.data() + pos_, n);
     pos_ += n;
     return s;
+  }
+
+  // An element count with an overrun guard: every element takes at least one
+  // byte, so a corrupted count cannot ask for more elements than bytes
+  // remain. A count past that fails the reader and reads as 0.
+  size_t Count() {
+    const size_t n = Size();
+    if (n > buf_.size() - std::min(pos_, buf_.size())) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
   }
 
   // True while every read so far stayed in bounds.
@@ -152,38 +154,177 @@ class CheckpointReader {
   bool AtEnd() const { return ok_ && pos_ == buf_.size(); }
 
  private:
-  void Raw(void* p, size_t n) {
-    if (!ok_ || pos_ + n > buf_.size()) {
-      ok_ = false;
-      std::memset(p, 0, n);
-      return;
-    }
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
-  }
-  // Element count with an overrun guard: a corrupted length field cannot ask
-  // for more elements than bytes remaining.
-  size_t SaneCount() {
-    const size_t n = Size();
-    if (n > buf_.size() - std::min(pos_, buf_.size())) {
-      ok_ = false;
-      return 0;
-    }
-    return n;
-  }
-  template <typename T>
-  std::vector<T> Vec(T (CheckpointReader::*read)()) {
-    const size_t n = SaneCount();
-    std::vector<T> v;
-    v.reserve(n);
-    for (size_t i = 0; i < n && ok(); ++i) v.push_back((this->*read)());
-    return v;
-  }
+  void Raw(void* p, size_t n);
 
   std::string buf_;
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// Scalars.
+inline void Io(CheckpointWriter& w, bool v) { w.Bool(v); }
+inline void Io(CheckpointWriter& w, uint8_t v) { w.U8(v); }
+inline void Io(CheckpointWriter& w, uint32_t v) { w.U32(v); }
+inline void Io(CheckpointWriter& w, uint64_t v) { w.U64(v); }
+inline void Io(CheckpointWriter& w, float v) { w.F32(v); }
+inline void Io(CheckpointWriter& w, double v) { w.F64(v); }
+inline void Io(CheckpointWriter& w, const std::string& v) { w.Str(v); }
+inline void Io(CheckpointReader& r, bool& v) { v = r.Bool(); }
+inline void Io(CheckpointReader& r, uint8_t& v) { v = r.U8(); }
+inline void Io(CheckpointReader& r, uint32_t& v) { v = r.U32(); }
+inline void Io(CheckpointReader& r, uint64_t& v) { v = r.U64(); }
+inline void Io(CheckpointReader& r, float& v) { v = r.F32(); }
+inline void Io(CheckpointReader& r, double& v) { v = r.F64(); }
+inline void Io(CheckpointReader& r, std::string& v) { v = r.Str(); }
+// A pointer would convert to bool.
+template <typename T>
+void Io(CheckpointWriter&, const T*) = delete;
+
+inline void Io(CheckpointWriter& w, const Rng& rng) {
+  for (uint64_t v : rng.SaveRaw()) w.U64(v);
+}
+inline void Io(CheckpointReader& r, Rng& rng) {
+  std::array<uint64_t, 6> raw;
+  for (uint64_t& v : raw) v = r.U64();
+  rng.RestoreRaw(raw);
+}
+
+template <typename E>
+  requires std::is_enum_v<E>
+void Io(CheckpointWriter& w, E v) {
+  w.U32(static_cast<uint32_t>(v));
+}
+template <typename E>
+  requires std::is_enum_v<E>
+void Io(CheckpointReader& r, E& v) {
+  v = static_cast<E>(r.U32());
+}
+
+template <typename C>
+concept Container = requires(C& c) {
+  c.clear();
+  c.insert(c.end(), *c.begin());
+};
+template <typename T>
+concept TupleLike = requires { std::tuple_size<std::remove_const_t<T>>::value; };
+template <typename T, typename A>
+concept HasFields = requires(T& v, A& a) { std::remove_const_t<T>::Fields(v, a); };
+
+// The templates call each other (a map of maps, a vector of structs), so each
+// is declared before any is defined.
+template <typename C>
+  requires Container<C>
+void Io(CheckpointWriter& w, const C& c);
+template <typename C>
+  requires Container<C>
+void Io(CheckpointReader& r, C& c);
+template <typename A, typename T>
+  requires TupleLike<T>
+void Io(A& a, T& t);
+template <typename A, typename T>
+  requires HasFields<T, A>
+void Io(A& a, T& v);
+template <typename A, typename... T>
+  requires(sizeof...(T) > 1)
+void Io(A& a, T&... fields);
+
+// A component walks its own fields.
+template <typename T>
+  requires requires(const T& v, CheckpointWriter& w) { v.SaveState(w); }
+void Io(CheckpointWriter& w, const T& v) {
+  v.SaveState(w);
+}
+template <typename T>
+  requires requires(T& v, CheckpointReader& r) { v.LoadState(r); }
+void Io(CheckpointReader& r, T& v) {
+  v.LoadState(r);
+}
+// An owned component is its pointee.
+template <typename A, typename T>
+void Io(A& a, const std::unique_ptr<T>& p) {
+  Io(a, *p);
+}
+
+template <typename C>
+  requires Container<C>
+void Io(CheckpointWriter& w, const C& c) {
+  w.Size(c.size());
+  for (const auto& x : c) Io(w, x);
+}
+
+template <typename C>
+  requires Container<C>
+void Io(CheckpointReader& r, C& c) {
+  const size_t n = r.Count();
+  c.clear();
+  // A scalar takes at most 8 bytes for every byte of the archive.
+  if constexpr (std::is_arithmetic_v<typename C::value_type> && requires { c.reserve(n); }) {
+    c.reserve(n);
+  }
+  for (size_t i = 0; i < n && r.ok(); ++i) {
+    if constexpr (requires { typename C::mapped_type; }) {
+      typename C::key_type key{};
+      typename C::mapped_type value{};
+      Io(r, key, value);
+      c.emplace_hint(c.end(), std::move(key), std::move(value));
+    } else {
+      typename C::value_type x{};
+      Io(r, x);
+      c.insert(c.end(), std::move(x));
+    }
+  }
+}
+
+template <typename A, typename T>
+  requires TupleLike<T>
+void Io(A& a, T& t) {
+  std::apply([&a](auto&... x) { (Io(a, x), ...); }, t);
+}
+
+template <typename A, typename T>
+  requires HasFields<T, A>
+void Io(A& a, T& v) {
+  std::remove_const_t<T>::Fields(v, a);
+}
+
+// A field list, in archive order.
+template <typename A, typename... T>
+  requires(sizeof...(T) > 1)
+void Io(A& a, T&... fields) {
+  (Io(a, fields), ...);
+}
+
+// A field stored at another width than its C++ type's.
+template <typename Stored, typename T>
+void IoAs(CheckpointWriter& w, const T& v) {
+  Io(w, static_cast<Stored>(v));
+}
+template <typename Stored, typename T>
+void IoAs(CheckpointReader& r, T& v) {
+  Stored stored{};
+  Io(r, stored);
+  v = static_cast<T>(stored);
+}
+
+// A length the engine fixes (a population, a model layer), stored as a
+// count: true when the archive's count is `n`. A count that differs is the
+// `mismatch` failure on a sound archive.
+template <typename A>
+bool IoCount(A& a, size_t n, const char* mismatch) {
+  size_t stored = n;
+  Io(a, stored);
+  FLOATFL_CHECK_MSG(stored == n || !a.ok(), mismatch);
+  return stored == n;
+}
+
+// A container of fixed length: its count, then its elements, read in place;
+// a failed archive's count skips them.
+template <typename A, typename C>
+void IoFixed(A& a, C& c, const char* mismatch) {
+  if (IoCount(a, c.size(), mismatch)) {
+    for (auto& x : c) Io(a, x);
+  }
+}
 
 }  // namespace floatfl
 

@@ -203,7 +203,7 @@ uint64_t FingerprintConfig(const RealFlConfig& config) {
   w.Size(config.input_dim);
   w.F64(config.class_separation);
   w.F64(config.alpha);
-  w.SizeVec(config.hidden_dims);
+  Io(w, config.hidden_dims);
   w.F32(config.sgd.learning_rate);
   w.Size(config.sgd.batch_size);
   w.Size(config.sgd.epochs);

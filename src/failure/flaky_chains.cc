@@ -56,19 +56,4 @@ void FlakyChains::BeginRound(size_t round) {
   rounds_advanced_ = round + 1;
 }
 
-void FlakyChains::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_advanced_);
-  w.U8Vec(flaky_eligible_);
-  w.U8Vec(flaky_);
-  w.U8Vec(byzantine_);
-}
-
-bool FlakyChains::LoadState(CheckpointReader& r) {
-  rounds_advanced_ = r.Size();
-  flaky_eligible_ = r.U8Vec();
-  flaky_ = r.U8Vec();
-  byzantine_ = r.U8Vec();
-  return r.ok();
-}
-
 }  // namespace floatfl

@@ -44,10 +44,18 @@ class FlakyChains {
   bool IsByzantine(size_t member) const { return Has(byzantine_, member); }
 
   // The rounds advanced, then the eligibility, state and Byzantine vectors.
-  void SaveState(CheckpointWriter& w) const;
-  bool LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  bool LoadState(CheckpointReader& r) {
+    Fields(*this, r);
+    return r.ok();
+  }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rounds_advanced_, self.flaky_eligible_, self.flaky_, self.byzantine_);
+  }
+
   static bool Has(const std::vector<uint8_t>& set, size_t member) {
     return member < set.size() && set[member] != 0;
   }

@@ -5,7 +5,6 @@
 
 #include "src/agg/quality_agg.h"
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 #include "src/fl/cost_model.h"
 
 namespace floatfl {
@@ -232,16 +231,8 @@ void AsyncEngine::StepOnce() {
     // policy back to the last known good version on divergence. Runs before
     // the version bump so the restored accuracy is what the history records.
     const double metric = surrogate_->GlobalAccuracy();
-    CloseRound(
-        version_, {.metric = metric, .loss = 1.0 - metric},
-        [this](CheckpointWriter& w) {
-          surrogate_->SaveState(w);
-          w.F64(last_accuracy_delta_);
-        },
-        [this](CheckpointReader& r) {
-          surrogate_->LoadState(r);
-          last_accuracy_delta_ = r.F64();
-        });
+    CloseRound(version_, {.metric = metric, .loss = 1.0 - metric},
+               [this](auto& a) { Io(a, surrogate_, last_accuracy_delta_); });
 
     ++version_;
     accuracy_history_.push_back(surrogate_->GlobalAccuracy());
@@ -259,172 +250,25 @@ ExperimentResult AsyncEngine::Run() {
   return Snapshot();
 }
 
-namespace {
-
-void SaveOutcome(CheckpointWriter& w, const ClientRoundOutcome& o) {
-  w.Size(o.client_id);
-  w.U32(static_cast<uint32_t>(o.technique));
-  w.Bool(o.completed);
-  w.U32(static_cast<uint32_t>(o.reason));
-  w.F64(o.costs.train_time_s);
-  w.F64(o.costs.comm_time_s);
-  w.F64(o.costs.total_time_s);
-  w.F64(o.costs.traffic_mb);
-  w.F64(o.costs.peak_memory_mb);
-  w.Bool(o.costs.out_of_memory);
-  w.F64(o.time_spent_s);
-  w.F64(o.deadline_diff);
-  w.Bool(o.corrupted);
-  w.U32(o.corrupt_kind);
-  w.Bool(o.byzantine);
-  w.Size(o.transfer_attempts);
-  w.F64(o.retransmitted_mb);
-  w.F64(o.salvaged_mb);
-  w.F64(o.transfer_backoff_s);
-  w.F64(o.effective_mbps);
-  w.F64(o.transfer_progress_mb);
-  w.F64(o.salvage_fraction);
-  w.Size(o.salvage_steps);
-  w.Size(o.salvage_total_steps);
-  w.Bool(o.salvaged);
-}
-
-void LoadOutcome(CheckpointReader& r, ClientRoundOutcome& o) {
-  o.client_id = r.Size();
-  o.technique = static_cast<TechniqueKind>(r.U32());
-  o.completed = r.Bool();
-  o.reason = static_cast<DropoutReason>(r.U32());
-  o.costs.train_time_s = r.F64();
-  o.costs.comm_time_s = r.F64();
-  o.costs.total_time_s = r.F64();
-  o.costs.traffic_mb = r.F64();
-  o.costs.peak_memory_mb = r.F64();
-  o.costs.out_of_memory = r.Bool();
-  o.time_spent_s = r.F64();
-  o.deadline_diff = r.F64();
-  o.corrupted = r.Bool();
-  o.corrupt_kind = r.U32();
-  o.byzantine = r.Bool();
-  o.transfer_attempts = r.Size();
-  o.retransmitted_mb = r.F64();
-  o.salvaged_mb = r.F64();
-  o.transfer_backoff_s = r.F64();
-  o.effective_mbps = r.F64();
-  o.transfer_progress_mb = r.F64();
-  o.salvage_fraction = r.F64();
-  o.salvage_steps = r.Size();
-  o.salvage_total_steps = r.Size();
-  o.salvaged = r.Bool();
-}
-
-}  // namespace
-
-void AsyncEngine::SaveState(CheckpointWriter& w) const {
-  w.F64(now_s_);
-  w.Size(version_);
-  w.F64(last_accuracy_delta_);
-  SaveOutcomeBooks(w, /*edge_orphaned=*/false);
-  SaveRng(w, rng_);
-  w.Size(clients_.size());
-  for (const auto& client : clients_) {
-    client.SaveState(w);
-  }
-  w.BoolVec(busy_);
-  w.Size(in_flight_.size());
-  for (const auto& flight : in_flight_) {
-    w.Size(flight.client_id);
-    w.F64(flight.finish_time_s);
-    w.Size(flight.start_version);
-    w.U32(static_cast<uint32_t>(flight.technique));
-    SaveOutcome(w, flight.outcome);
-    w.F64(flight.observation.cpu_avail);
-    w.F64(flight.observation.mem_avail);
-    w.F64(flight.observation.net_avail);
-    w.F64(flight.observation.deadline_diff);
-  }
-  w.Size(buffer_.size());
-  for (const auto& contribution : buffer_) {
-    w.Size(contribution.client_id);
-    w.F64(contribution.quality);
-    w.F64(contribution.staleness);
-    w.F64(contribution.weight);
-  }
-  surrogate_->SaveState(w);
-  accountant_.SaveState(w);
-  tracker_.SaveState(w);
-  injector_.SaveState(w);
-  SavePolicy(w);
-  w.Size(pending_byzantine_);
-  agg_tracker_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  guard_.SaveState(w);
-  SaveIngress(w);
-  w.F64(redundant_mb_);
-  salvage_tracker_.SaveState(w);
+template <typename Self, typename Archive>
+void AsyncEngine::Fields(Self& self, Archive& a) {
+  Io(a, self.now_s_, self.version_, self.last_accuracy_delta_);
+  OutcomeBooksIo(self, a, /*edge_orphaned=*/false);
+  Io(a, self.rng_);
+  IoFixed(a, self.clients_, "checkpoint population size mismatch");
+  Io(a, self.busy_, self.in_flight_, self.buffer_, self.surrogate_, self.accountant_, self.tracker_,
+     self.injector_);
+  PolicyIo(self, a, "checkpoint policy presence mismatch");
+  Io(a, self.pending_byzantine_, self.agg_tracker_, self.transport_tracker_, self.guard_);
+  IngressIo(self, a);
+  Io(a, self.redundant_mb_, self.salvage_tracker_);
   // The RecoveryTracker stays the final section of every engine payload:
   // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
+  Io(a, self.recovery_tracker_);
 }
 
-void AsyncEngine::LoadState(CheckpointReader& r) {
-  now_s_ = r.F64();
-  version_ = r.Size();
-  last_accuracy_delta_ = r.F64();
-  LoadOutcomeBooks(r, /*edge_orphaned=*/false);
-  LoadRng(r, rng_);
-  const size_t n = r.Size();
-  // A failed reader (truncated/corrupted archive) returns zeros; that is the
-  // caller's error to report, not a process-aborting invariant violation.
-  FLOATFL_CHECK_MSG(n == clients_.size() || !r.ok(), "checkpoint population size mismatch");
-  if (n != clients_.size()) {
-    return;
-  }
-  for (auto& client : clients_) {
-    client.LoadState(r);
-  }
-  busy_ = r.BoolVec();
-  in_flight_.clear();
-  const size_t flights = r.Size();
-  for (size_t i = 0; i < flights && r.ok(); ++i) {
-    InFlight flight;
-    flight.client_id = r.Size();
-    flight.finish_time_s = r.F64();
-    flight.start_version = r.Size();
-    flight.technique = static_cast<TechniqueKind>(r.U32());
-    LoadOutcome(r, flight.outcome);
-    flight.observation.cpu_avail = r.F64();
-    flight.observation.mem_avail = r.F64();
-    flight.observation.net_avail = r.F64();
-    flight.observation.deadline_diff = r.F64();
-    in_flight_.push_back(flight);
-  }
-  buffer_.clear();
-  const size_t buffered = r.Size();
-  for (size_t i = 0; i < buffered && r.ok(); ++i) {
-    ClientContribution contribution;
-    contribution.client_id = r.Size();
-    contribution.quality = r.F64();
-    contribution.staleness = r.F64();
-    contribution.weight = r.F64();
-    buffer_.push_back(contribution);
-  }
-  surrogate_->LoadState(r);
-  accountant_.LoadState(r);
-  tracker_.LoadState(r);
-  injector_.LoadState(r);
-  const bool policy_matches = LoadPolicy(r);
-  FLOATFL_CHECK_MSG(policy_matches || !r.ok(), "checkpoint policy presence mismatch");
-  if (!policy_matches) {
-    return;
-  }
-  pending_byzantine_ = r.Size();
-  agg_tracker_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  guard_.LoadState(r);
-  LoadIngress(r);
-  redundant_mb_ = r.F64();
-  salvage_tracker_.LoadState(r);
-  recovery_tracker_.LoadState(r);
-}
+void AsyncEngine::SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+
+void AsyncEngine::LoadState(CheckpointReader& r) { Fields(*this, r); }
 
 }  // namespace floatfl

@@ -48,7 +48,18 @@ class AsyncEngine : public SurrogateEngine {
     TechniqueKind technique;
     ClientRoundOutcome outcome;
     ClientObservation observation;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      auto& o = self.observation;
+      Io(a, self.client_id, self.finish_time_s, self.start_version, self.technique, self.outcome,
+         o.cpu_avail, o.mem_avail, o.net_avail, o.deadline_diff);
+    }
   };
+
+  // The payload's fields in archive order.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a);
 
   void LaunchClients(const GlobalObservation& global);
 

@@ -14,32 +14,6 @@ Client::Client(size_t id, ClientShard shard, ComputeTrace compute, NetworkTrace 
       availability_(std::move(availability)),
       interference_(std::move(interference)) {}
 
-void Client::SaveState(CheckpointWriter& w) const {
-  w.Size(times_selected);
-  w.Size(times_completed);
-  w.F64(last_round_duration_s);
-  w.F64(last_deadline_diff);
-  w.F64(observed_window_s);
-  w.Size(cooldown_until_round);
-  compute_.SaveState(w);
-  network_.SaveState(w);
-  availability_.SaveState(w);
-  interference_.SaveState(w);
-}
-
-void Client::LoadState(CheckpointReader& r) {
-  times_selected = r.Size();
-  times_completed = r.Size();
-  last_round_duration_s = r.F64();
-  last_deadline_diff = r.F64();
-  observed_window_s = r.F64();
-  cooldown_until_round = r.Size();
-  compute_.LoadState(r);
-  network_.LoadState(r);
-  availability_.LoadState(r);
-  interference_.LoadState(r);
-}
-
 std::vector<Client> BuildPopulation(const DatasetSpec& spec, size_t num_clients, double alpha,
                                     InterferenceScenario interference, uint64_t seed) {
   Rng rng(seed);

@@ -64,10 +64,17 @@ class Client {
   size_t cooldown_until_round = 0;
 
   // Checkpoint/resume: participation history plus the four trace processes.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.times_selected, self.times_completed, self.last_round_duration_s,
+       self.last_deadline_diff, self.observed_window_s, self.cooldown_until_round, self.compute_,
+       self.network_, self.availability_, self.interference_);
+  }
+
   size_t id_;
   ClientShard shard_;
   ComputeTrace compute_;

@@ -8,7 +8,6 @@
 
 #include "src/common/check.h"
 #include "src/data/dirichlet.h"
-#include "src/failure/checkpoint_util.h"
 #include "src/fl/cost_model.h"
 #include "src/fl/experiment.h"
 #include "src/opt/compress.h"
@@ -67,6 +66,46 @@ void ApplyByzantineAttack(std::vector<float>& params, const std::vector<float>& 
   }
 }
 
+// The model as its flat parameter vector, read back only at the model's own
+// parameter count (the `mismatch` failure otherwise).
+void ParamsIo(CheckpointWriter& w, const Mlp& model, const char*) {
+  Io(w, model.GetParameters());
+}
+void ParamsIo(CheckpointReader& r, Mlp& model, const char* mismatch) {
+  std::vector<float> params(model.ParamCount());
+  IoFixed(r, params, mismatch);
+  if (r.ok()) {
+    model.SetParameters(params);
+  }
+}
+
+// `config` once every field the engine builds from is in range, so the
+// constructor refuses a config it cannot run, naming the field, before it
+// builds anything.
+const RealFlConfig& Validated(const RealFlConfig& config) {
+  FLOATFL_CHECK_MSG(config.num_clients > 0, "num_clients must be positive");
+  FLOATFL_CHECK_MSG(config.clients_per_round > 0, "clients_per_round must be positive");
+  FLOATFL_CHECK_MSG(config.num_classes >= 2, "num_classes must be at least 2");
+  FLOATFL_CHECK_MSG(config.input_dim > 0, "input_dim must be positive");
+  FLOATFL_CHECK_MSG(config.class_separation > 0.0, "class_separation must be positive");
+  FLOATFL_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
+  for (size_t width : config.hidden_dims) {
+    FLOATFL_CHECK_MSG(width > 0, "every hidden_dims width must be positive");
+  }
+  FLOATFL_CHECK_MSG(config.sgd.batch_size > 0, "sgd.batch_size must be positive");
+  FLOATFL_CHECK_MSG(config.sgd.epochs > 0, "sgd.epochs must be positive");
+  FLOATFL_CHECK_MSG(std::isfinite(config.sgd.learning_rate) && config.sgd.learning_rate > 0.0f,
+                    "sgd.learning_rate must be finite and positive");
+  // An empty test set scores every round NaN, which the guard never judges
+  // healthy, so it could never roll back.
+  FLOATFL_CHECK_MSG(config.test_samples_per_class > 0, "test_samples_per_class must be positive");
+  // No wall clock means no deadline race a backup could win; refuse rather
+  // than silently ignore, like the async engine.
+  FLOATFL_CHECK_MSG(!config.salvage.speculation,
+                    "real engine does not support speculative re-execution");
+  return config;
+}
+
 // Server-side validation: every value finite and the update's L2 norm under
 // the quarantine threshold.
 bool ValidRealUpdate(const std::vector<float>& params, double norm_threshold) {
@@ -117,8 +156,8 @@ struct RealFlEngine::Slot : CohortSlot {
 };
 
 RealFlEngine::RealFlEngine(const RealFlConfig& config)
-    : ServerCore(config.seed, config.num_clients, config.num_threads, config.faults, config.guard,
-                 config.topology, config.admission, config.salvage, nullptr),
+    : ServerCore(Validated(config).seed, config.num_clients, config.num_threads, config.faults,
+                 config.guard, config.topology, config.admission, config.salvage, nullptr),
       config_(config),
       aggregator_(MakeAggregator(config.aggregator)),
       edge_aggregator_(MakeAggregator(config.topology.edge_aggregator)),
@@ -126,18 +165,6 @@ RealFlEngine::RealFlEngine(const RealFlConfig& config)
       client_stream_root_(config.seed ^ 0x7C159E3779B97F4AULL),
       model_dims_(ModelDims(config)),
       init_skip_(Mlp::InitDraws(model_dims_)) {
-  FLOATFL_CHECK(config.num_clients > 0);
-  FLOATFL_CHECK(config.clients_per_round > 0);
-  FLOATFL_CHECK(config.num_classes >= 2);
-  FLOATFL_CHECK_MSG(config.alpha > 0.0, "alpha must be positive");
-  // An empty test set scores every round NaN, which the guard never judges
-  // healthy, so it could never roll back.
-  FLOATFL_CHECK_MSG(config.test_samples_per_class > 0, "test_samples_per_class must be positive");
-  // No wall clock means no deadline race a backup could win; refuse rather
-  // than silently ignore, like the async engine.
-  FLOATFL_CHECK_MSG(!config_.salvage.speculation,
-                    "real engine does not support speculative re-execution");
-
   task_ = std::make_unique<SyntheticTaskData>(config.num_classes, config.input_dim,
                                               config.class_separation, rng_);
 
@@ -642,15 +669,11 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   // test metrics are healthy; restore the last known good one when they
   // diverge. Runs after the policy feedback so the rollback also discards
   // any Q-updates the bad round just taught.
-  if (CloseRound(
-          round, {.metric = stats.test_accuracy, .loss = stats.test_loss, .coverage = coverage},
-          [this](CheckpointWriter& w) { w.F32Vec(global_->GetParameters()); },
-          [this](CheckpointReader& r) {
-            const std::vector<float> params = r.F32Vec();
-            FLOATFL_CHECK_MSG(params.size() == global_->ParamCount(),
-                              "guard snapshot model parameter count mismatch");
-            global_->SetParameters(params);
-          })) {
+  if (CloseRound(round,
+                 {.metric = stats.test_accuracy, .loss = stats.test_loss, .coverage = coverage},
+                 [this](auto& a) {
+                   ParamsIo(a, *global_, "guard snapshot model parameter count mismatch");
+                 })) {
     stats.rolled_back = true;
     eval = EvaluateTestSet();
     stats.test_accuracy = eval.accuracy;
@@ -687,52 +710,27 @@ Mlp::Evaluation RealFlEngine::EvaluateTestSet() const {
 
 double RealFlEngine::EvaluateAccuracy() const { return EvaluateTestSet().accuracy; }
 
-void RealFlEngine::SaveState(CheckpointWriter& w) const {
-  w.Size(rounds_run_);
-  SaveRng(w, rng_);
-  SaveRng(w, client_stream_root_);
-  w.F32Vec(global_->GetParameters());
-  injector_.SaveState(w);
-  aggregator_->SaveState(w);
-  agg_tracker_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  SavePolicy(w);
-  guard_.SaveState(w);
-  SaveEdgeTier(w);
-  edge_aggregator_->SaveState(w);
-  SaveIngress(w);
-  salvage_tracker_.SaveState(w);
+template <typename Self, typename Archive>
+void RealFlEngine::Fields(Self& self, Archive& a) {
+  Io(a, self.rounds_run_, self.rng_, self.client_stream_root_);
+  ParamsIo(a, *self.global_, "checkpoint model parameter count mismatch");
+  Io(a, self.injector_, self.aggregator_, self.agg_tracker_, self.transport_tracker_);
+  PolicyIo(self, a, "checkpoint policy presence mismatch");
+  Io(a, self.guard_);
+  EdgeTierIo(self, a);
+  Io(a, self.edge_aggregator_);
+  IngressIo(self, a);
+  Io(a, self.salvage_tracker_);
   // The RecoveryTracker stays the final section of every engine payload:
   // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
+  Io(a, self.recovery_tracker_);
 }
+
+void RealFlEngine::SaveState(CheckpointWriter& w) const { Fields(*this, w); }
 
 void RealFlEngine::LoadState(CheckpointReader& r) {
   round_end_accuracy_.reset();
-  rounds_run_ = r.Size();
-  LoadRng(r, rng_);
-  LoadRng(r, client_stream_root_);
-  const std::vector<float> params = r.F32Vec();
-  FLOATFL_CHECK_MSG(params.size() == global_->ParamCount() || !r.ok(),
-                    "checkpoint model parameter count mismatch");
-  if (r.ok()) {
-    global_->SetParameters(params);
-  }
-  injector_.LoadState(r);
-  aggregator_->LoadState(r);
-  agg_tracker_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  const bool policy_matches = LoadPolicy(r);
-  FLOATFL_CHECK_MSG(policy_matches || !r.ok(), "checkpoint policy presence mismatch");
-  if (!policy_matches) {
-    return;
-  }
-  guard_.LoadState(r);
-  LoadEdgeTier(r);
-  edge_aggregator_->LoadState(r);
-  LoadIngress(r);
-  salvage_tracker_.LoadState(r);
-  recovery_tracker_.LoadState(r);
+  Fields(*this, r);
 }
 
 }  // namespace floatfl

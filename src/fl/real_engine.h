@@ -184,6 +184,10 @@ class RealFlEngine : public ServerCore {
   void LoadState(CheckpointReader& r);
 
  private:
+  // The payload's fields in archive order.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a);
+
   // A trained parameter vector after its upload optimization, with the
   // bytes a real upload would ship and the max-abs error injected.
   struct ProcessedUpdate {

@@ -177,21 +177,6 @@ double ServerCore::PolicyCredit(double accuracy_delta, TechniqueKind technique) 
   return guard_.SanitizeReward(accuracy_delta * (1.0 - EffectOf(technique).accuracy_impact));
 }
 
-bool ServerCore::CloseRound(size_t round, const HealthSignal& health,
-                            const TrainingGuard::SaveFn& save,
-                            const TrainingGuard::RestoreFn& restore) {
-  return guard_.EndRound(
-      round, health,
-      [&](CheckpointWriter& w) {
-        save(w);
-        SavePolicy(w);
-      },
-      [&](CheckpointReader& r) {
-        restore(r);
-        LoadPolicy(r);
-      });
-}
-
 bool ServerCore::ForwardPartial(size_t round, size_t edge, double partial_mb) {
   if (!edge_transport_.enabled()) {
     topo_tracker_.RecordPartial(true, 0, 0.0, 0.0);
@@ -201,45 +186,6 @@ bool ServerCore::ForwardPartial(size_t round, size_t edge, double partial_mb) {
       edge_transport_.TryDeliver(round, edge, partial_mb, TransferLeg::kUpload, true);
   topo_tracker_.RecordPartial(res.delivered, res.attempts, res.wire_mb, res.retransmitted_mb);
   return res.delivered;
-}
-
-void ServerCore::SavePolicy(CheckpointWriter& w) const {
-  w.Bool(policy_ != nullptr);
-  if (policy_ != nullptr) {
-    policy_->SaveState(w);
-  }
-}
-
-bool ServerCore::LoadPolicy(CheckpointReader& r) {
-  const bool had_policy = r.Bool();
-  if (had_policy && policy_ != nullptr) {
-    policy_->LoadState(r);
-  }
-  return had_policy == (policy_ != nullptr);
-}
-
-void ServerCore::SaveIngress(CheckpointWriter& w) const {
-  admission_.SaveState(w);
-  update_log_.SaveState(w);
-  admission_tracker_.SaveState(w);
-}
-
-void ServerCore::LoadIngress(CheckpointReader& r) {
-  admission_.LoadState(r);
-  update_log_.LoadState(r);
-  admission_tracker_.LoadState(r);
-}
-
-void ServerCore::SaveEdgeTier(CheckpointWriter& w) const {
-  edge_injector_.SaveState(w);
-  tree_.SaveState(w);
-  topo_tracker_.SaveState(w);
-}
-
-void ServerCore::LoadEdgeTier(CheckpointReader& r) {
-  edge_injector_.LoadState(r);
-  tree_.LoadState(r);
-  topo_tracker_.LoadState(r);
 }
 
 }  // namespace floatfl

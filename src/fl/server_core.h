@@ -184,26 +184,43 @@ class ServerCore {
   double PolicyCredit(double accuracy_delta, TechniqueKind technique);
 
   // The guard's round close (DESIGN.md §11): snapshot or rollback of the
-  // engine's payload (`save`, `restore`) followed by the policy. True when it
-  // rolled back.
-  bool CloseRound(size_t round, const HealthSignal& health, const TrainingGuard::SaveFn& save,
-                  const TrainingGuard::RestoreFn& restore);
+  // engine's payload, which `payload(archive)` walks in either direction,
+  // followed by the policy. True when it rolled back.
+  template <typename Payload>
+  bool CloseRound(size_t round, const HealthSignal& health, const Payload& payload) {
+    const auto snapshot = [&](auto& a) {
+      payload(a);
+      PolicyIo(*this, a, nullptr);
+    };
+    return guard_.EndRound(round, health, snapshot, snapshot);
+  }
 
   // The attached policy's state behind a presence flag, as every engine
-  // payload and guard snapshot stores it.
-  void SavePolicy(CheckpointWriter& w) const;
-  // Reads what SavePolicy wrote into the attached policy when both sides
-  // have one. False when the presence flags differ: a guard snapshot taken
-  // before an attach or detach, or a mismatched or failed checkpoint.
-  bool LoadPolicy(CheckpointReader& r);
+  // payload and guard snapshot stores it. A read whose flag differs from the
+  // engine's leaves the policy alone: the `mismatch` failure on a sound
+  // archive, or, with no message, a guard snapshot taken before an attach.
+  template <typename Self, typename Archive>
+  static void PolicyIo(Self& self, Archive& a, const char* mismatch) {
+    bool present = self.policy_ != nullptr;
+    Io(a, present);
+    const bool matches = present == (self.policy_ != nullptr);
+    FLOATFL_CHECK_MSG(matches || mismatch == nullptr || !a.ok(), mismatch);
+    if (present && matches) {
+      Io(a, *self.policy_);
+    }
+  }
 
-  // Runs of shared books every engine payload writes in this order: the
+  // Runs of shared books every engine payload stores in this order: the
   // ingress layer (gate, log, tracker) and the edge tier (injector, tree,
   // tracker).
-  void SaveIngress(CheckpointWriter& w) const;
-  void LoadIngress(CheckpointReader& r);
-  void SaveEdgeTier(CheckpointWriter& w) const;
-  void LoadEdgeTier(CheckpointReader& r);
+  template <typename Self, typename Archive>
+  static void IngressIo(Self& self, Archive& a) {
+    Io(a, self.admission_, self.update_log_, self.admission_tracker_);
+  }
+  template <typename Self, typename Archive>
+  static void EdgeTierIo(Self& self, Archive& a) {
+    Io(a, self.edge_injector_, self.tree_, self.topo_tracker_);
+  }
 
   TuningPolicy* policy_;
   // Work pool for the per-client fan-out; null when num_threads resolves to

@@ -8,18 +8,6 @@
 namespace floatfl {
 namespace {
 
-// DropoutBreakdown's counts in payload order.
-constexpr size_t DropoutBreakdown::*kBreakdownCounts[] = {
-    &DropoutBreakdown::unavailable,     &DropoutBreakdown::out_of_memory,
-    &DropoutBreakdown::missed_deadline, &DropoutBreakdown::departed,
-    &DropoutBreakdown::crashed,         &DropoutBreakdown::corrupted,
-    &DropoutBreakdown::rejected,        &DropoutBreakdown::transfer_timed_out,
-    &DropoutBreakdown::edge_orphaned,   &DropoutBreakdown::shed,
-    &DropoutBreakdown::duplicate,       &DropoutBreakdown::replayed,
-    &DropoutBreakdown::rate_limited,    &DropoutBreakdown::backup_covered,
-    &DropoutBreakdown::backup_redundant,
-};
-
 // `config` once ValidateExperimentConfig has passed it, so the constructor
 // refuses a bad config before it builds the population from it.
 const ExperimentConfig& Validated(const ExperimentConfig& config) {
@@ -447,26 +435,6 @@ void SurrogateEngine::BookOutcome(Client& client, const ClientRoundOutcome& outc
     // few rounds before the selectors (or FedBuff's launcher) consider it.
     client.cooldown_until_round = round + 1 + config_.faults.retry_cooldown_rounds;
   }
-}
-
-void SurrogateEngine::SaveOutcomeBooks(CheckpointWriter& w, bool edge_orphaned) const {
-  w.Size(rejected_updates_);
-  for (size_t DropoutBreakdown::*count : kBreakdownCounts) {
-    if (edge_orphaned || count != &DropoutBreakdown::edge_orphaned) {
-      w.Size(dropout_breakdown_.*count);
-    }
-  }
-  w.F64Vec(accuracy_history_);
-}
-
-void SurrogateEngine::LoadOutcomeBooks(CheckpointReader& r, bool edge_orphaned) {
-  rejected_updates_ = r.Size();
-  for (size_t DropoutBreakdown::*count : kBreakdownCounts) {
-    if (edge_orphaned || count != &DropoutBreakdown::edge_orphaned) {
-      dropout_breakdown_.*count = r.Size();
-    }
-  }
-  accuracy_history_ = r.F64Vec();
 }
 
 ExperimentResult SurrogateEngine::Snapshot() const {

@@ -77,6 +77,18 @@ struct ClientRoundOutcome {
   // Set by the engine when this partial cleared the min-progress bar and the
   // admission gate and re-entered aggregation at step-count weight.
   bool salvaged = false;
+
+  // An in-flight FedBuff outcome in the async payload.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.client_id, self.technique, self.completed, self.reason, self.costs.train_time_s,
+       self.costs.comm_time_s, self.costs.total_time_s, self.costs.traffic_mb,
+       self.costs.peak_memory_mb, self.costs.out_of_memory, self.time_spent_s, self.deadline_diff,
+       self.corrupted, self.corrupt_kind, self.byzantine, self.transfer_attempts,
+       self.retransmitted_mb, self.salvaged_mb, self.transfer_backoff_s, self.effective_mbps,
+       self.transfer_progress_mb, self.salvage_fraction, self.salvage_steps,
+       self.salvage_total_steps, self.salvaged);
+  }
 };
 
 class SurrogateEngine : public ServerCore {
@@ -153,11 +165,20 @@ class SurrogateEngine : public ServerCore {
   // breakdown and the retry cooldown. `round` keys the guard and cooldown.
   void BookOutcome(Client& client, const ClientRoundOutcome& outcome, size_t round);
 
-  // A run both surrogate payloads write in this order: the quarantine count,
+  // A run both surrogate payloads store in this order: the quarantine count,
   // the dropout breakdown and the accuracy history. `edge_orphaned` is false
   // for the async payload, which has no orphan count.
-  void SaveOutcomeBooks(CheckpointWriter& w, bool edge_orphaned) const;
-  void LoadOutcomeBooks(CheckpointReader& r, bool edge_orphaned);
+  template <typename Self, typename Archive>
+  static void OutcomeBooksIo(Self& self, Archive& a, bool edge_orphaned) {
+    auto& d = self.dropout_breakdown_;
+    Io(a, self.rejected_updates_, d.unavailable, d.out_of_memory, d.missed_deadline, d.departed,
+       d.crashed, d.corrupted, d.rejected, d.transfer_timed_out);
+    if (edge_orphaned) {
+      Io(a, d.edge_orphaned);
+    }
+    Io(a, d.shed, d.duplicate, d.replayed, d.rate_limited, d.backup_covered, d.backup_redundant,
+       self.accuracy_history_);
+  }
 
   ExperimentConfig config_;
   std::vector<Client> clients_;

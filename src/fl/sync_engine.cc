@@ -384,10 +384,8 @@ void SyncEngine::RunRound(size_t round) {
   // round's accuracy is recorded, so the history reflects the restored
   // trajectory.
   const double metric = surrogate_->GlobalAccuracy();
-  CloseRound(
-      round, {.metric = metric, .loss = 1.0 - metric, .coverage = coverage},
-      [this](CheckpointWriter& w) { surrogate_->SaveState(w); },
-      [this](CheckpointReader& r) { surrogate_->LoadState(r); });
+  CloseRound(round, {.metric = metric, .loss = 1.0 - metric, .coverage = coverage},
+             [this](auto& a) { Io(a, surrogate_); });
 
   now_s_ += round_duration + kRoundOverheadS;
   accuracy_history_.push_back(surrogate_->GlobalAccuracy());
@@ -401,72 +399,26 @@ ExperimentResult SyncEngine::Run() {
   return Snapshot();
 }
 
-void SyncEngine::SaveState(CheckpointWriter& w) const {
-  w.F64(now_s_);
-  w.Size(rounds_run_);
-  SaveOutcomeBooks(w, /*edge_orphaned=*/true);
-  w.Size(clients_.size());
-  for (const auto& client : clients_) {
-    client.SaveState(w);
-  }
-  surrogate_->SaveState(w);
-  accountant_.SaveState(w);
-  tracker_.SaveState(w);
-  injector_.SaveState(w);
-  selector_->SaveState(w);
-  SavePolicy(w);
-  agg_tracker_.SaveState(w);
-  w.F64(round_deadline_s_);
-  transport_tracker_.SaveState(w);
-  deadline_ctrl_.SaveState(w);
-  guard_.SaveState(w);
-  SaveEdgeTier(w);
-  edge_deadline_ctrl_.SaveState(w);
-  SaveIngress(w);
-  w.F64(redundant_mb_);
-  salvage_tracker_.SaveState(w);
-  scheduler_.SaveState(w);
+template <typename Self, typename Archive>
+void SyncEngine::Fields(Self& self, Archive& a) {
+  Io(a, self.now_s_, self.rounds_run_);
+  OutcomeBooksIo(self, a, /*edge_orphaned=*/true);
+  IoFixed(a, self.clients_, "checkpoint population size mismatch");
+  Io(a, self.surrogate_, self.accountant_, self.tracker_, self.injector_, *self.selector_);
+  PolicyIo(self, a, "checkpoint policy presence mismatch");
+  Io(a, self.agg_tracker_, self.round_deadline_s_, self.transport_tracker_, self.deadline_ctrl_,
+     self.guard_);
+  EdgeTierIo(self, a);
+  Io(a, self.edge_deadline_ctrl_);
+  IngressIo(self, a);
+  Io(a, self.redundant_mb_, self.salvage_tracker_, self.scheduler_);
   // The RecoveryTracker stays the final section of every engine payload:
   // the recovery tests strip it off the tail to compare training state.
-  recovery_tracker_.SaveState(w);
+  Io(a, self.recovery_tracker_);
 }
 
-void SyncEngine::LoadState(CheckpointReader& r) {
-  now_s_ = r.F64();
-  rounds_run_ = r.Size();
-  LoadOutcomeBooks(r, /*edge_orphaned=*/true);
-  const size_t n = r.Size();
-  // A failed reader (truncated/corrupted archive) returns zeros; that is the
-  // caller's error to report, not a process-aborting invariant violation.
-  FLOATFL_CHECK_MSG(n == clients_.size() || !r.ok(), "checkpoint population size mismatch");
-  if (n != clients_.size()) {
-    return;
-  }
-  for (auto& client : clients_) {
-    client.LoadState(r);
-  }
-  surrogate_->LoadState(r);
-  accountant_.LoadState(r);
-  tracker_.LoadState(r);
-  injector_.LoadState(r);
-  selector_->LoadState(r);
-  const bool policy_matches = LoadPolicy(r);
-  FLOATFL_CHECK_MSG(policy_matches || !r.ok(), "checkpoint policy presence mismatch");
-  if (!policy_matches) {
-    return;
-  }
-  agg_tracker_.LoadState(r);
-  round_deadline_s_ = r.F64();
-  transport_tracker_.LoadState(r);
-  deadline_ctrl_.LoadState(r);
-  guard_.LoadState(r);
-  LoadEdgeTier(r);
-  edge_deadline_ctrl_.LoadState(r);
-  LoadIngress(r);
-  redundant_mb_ = r.F64();
-  salvage_tracker_.LoadState(r);
-  scheduler_.LoadState(r);
-  recovery_tracker_.LoadState(r);
-}
+void SyncEngine::SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+
+void SyncEngine::LoadState(CheckpointReader& r) { Fields(*this, r); }
 
 }  // namespace floatfl

@@ -56,6 +56,10 @@ class SyncEngine : public SurrogateEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  // The payload's fields in archive order.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a);
+
   // The root's patience over the edges whose partials arrived (DESIGN.md
   // §13): drops the ones slower than the adaptive edge deadline, then keeps
   // the first ceil(num_edges / edge_overcommit) by round time. An edge's

@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/data/synthetic.h"
-#include "src/failure/checkpoint_util.h"
 #include "src/fl/experiment.h"
 #include "src/opt/quantize.h"
 
@@ -44,22 +43,18 @@ bool AllFinite(const std::vector<float>& v) {
   return true;
 }
 
-void SaveLayer(CheckpointWriter& w, const DenseLayer& layer) {
-  w.F32Vec(layer.weights().flat());
-  w.F32Vec(layer.bias().flat());
-}
-
-void LoadLayer(CheckpointReader& r, DenseLayer& layer) {
-  const std::vector<float> weights = r.F32Vec();
-  const std::vector<float> bias = r.F32Vec();
-  FLOATFL_CHECK_MSG((weights.size() == layer.weights().flat().size() &&
-                     bias.size() == layer.bias().flat().size()) ||
-                        !r.ok(),
-                    "checkpoint VFL layer shape mismatch");
-  if (r.ok()) {
-    layer.weights().flat() = weights;
-    layer.bias().flat() = bias;
+// The split model: each party's encoder, then the top classifier. A layer is
+// its weights and bias, read back only at its own shape.
+template <typename Archive, typename Bottoms, typename Top>
+void SplitModelIo(Archive& a, Bottoms& bottoms, Top& top) {
+  const auto layer_io = [&a](auto& layer) {
+    IoFixed(a, layer.weights().flat(), "checkpoint VFL layer shape mismatch");
+    IoFixed(a, layer.bias().flat(), "checkpoint VFL layer shape mismatch");
+  };
+  for (auto& bottom : bottoms) {
+    layer_io(bottom);
   }
+  layer_io(top);
 }
 
 }  // namespace
@@ -277,20 +272,8 @@ VflRoundStats VflEngine::TrainEpoch(TechniqueKind comm_technique) {
     HealthSignal health;
     health.metric = stats.test_accuracy;
     health.loss = stats.train_loss;
-    const bool rolled_back = guard_.EndRound(
-        epoch, health,
-        [this](CheckpointWriter& w) {
-          for (const auto& bottom : bottoms_) {
-            SaveLayer(w, bottom);
-          }
-          SaveLayer(w, *top_);
-        },
-        [this](CheckpointReader& r) {
-          for (auto& bottom : bottoms_) {
-            LoadLayer(r, bottom);
-          }
-          LoadLayer(r, *top_);
-        });
+    const auto split_model = [this](auto& a) { SplitModelIo(a, bottoms_, *top_); };
+    const bool rolled_back = guard_.EndRound(epoch, health, split_model, split_model);
     if (rolled_back) {
       stats.rolled_back = true;
       stats.test_accuracy = EvaluateAccuracy();
@@ -306,37 +289,17 @@ double VflEngine::EvaluateAccuracy() {
   return SoftmaxXent::Accuracy(logits, test_labels_);
 }
 
-void VflEngine::SaveState(CheckpointWriter& w) const {
-  w.Size(epochs_run_);
-  SaveRng(w, rng_);
-  w.Size(bottoms_.size());
-  for (const auto& bottom : bottoms_) {
-    SaveLayer(w, bottom);
+template <typename Self, typename Archive>
+void VflEngine::Fields(Self& self, Archive& a) {
+  Io(a, self.epochs_run_, self.rng_);
+  if (IoCount(a, self.bottoms_.size(), "checkpoint VFL party count mismatch")) {
+    SplitModelIo(a, self.bottoms_, *self.top_);
   }
-  SaveLayer(w, *top_);
-  injector_.SaveState(w);
-  transport_tracker_.SaveState(w);
-  guard_.SaveState(w);
-  recovery_tracker_.SaveState(w);
+  Io(a, self.injector_, self.transport_tracker_, self.guard_, self.recovery_tracker_);
 }
 
-void VflEngine::LoadState(CheckpointReader& r) {
-  epochs_run_ = r.Size();
-  LoadRng(r, rng_);
-  const size_t parties = r.Size();
-  FLOATFL_CHECK_MSG(parties == bottoms_.size() || !r.ok(),
-                    "checkpoint VFL party count mismatch");
-  if (parties != bottoms_.size()) {
-    return;
-  }
-  for (auto& bottom : bottoms_) {
-    LoadLayer(r, bottom);
-  }
-  LoadLayer(r, *top_);
-  injector_.LoadState(r);
-  transport_tracker_.LoadState(r);
-  guard_.LoadState(r);
-  recovery_tracker_.LoadState(r);
-}
+void VflEngine::SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+
+void VflEngine::LoadState(CheckpointReader& r) { Fields(*this, r); }
 
 }  // namespace floatfl

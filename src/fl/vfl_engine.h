@@ -99,6 +99,10 @@ class VflEngine {
   void LoadState(CheckpointReader& r);
 
  private:
+  // The payload's fields in archive order.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a);
+
   // Forward all parties for rows [start, start+count) of `inputs`; returns
   // the concatenated (possibly quantize-dequantized) embedding batch and
   // accumulates traffic. `faults`, when non-null, holds this epoch's

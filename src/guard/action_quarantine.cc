@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_io.h"
 #include "src/fl/experiment.h"
 
 namespace floatfl {
@@ -108,32 +107,6 @@ size_t ActionQuarantine::BlockedCount(size_t round) const {
     }
   }
   return count;
-}
-
-void ActionQuarantine::SaveState(CheckpointWriter& w) const {
-  w.Size(cells_.size());
-  for (const Cell& cell : cells_) {
-    w.Size(cell.trials);
-    w.Size(cell.failures);
-    w.Size(cell.until_round);
-    w.Size(cell.strikes);
-  }
-}
-
-void ActionQuarantine::LoadState(CheckpointReader& r) {
-  const size_t n = r.Size();
-  // A failed reader (truncated/corrupted archive) returns zeros; that is the
-  // caller's error to report, not a process-aborting invariant violation.
-  FLOATFL_CHECK_MSG(n == cells_.size() || !r.ok(), "guard quarantine cell count mismatch");
-  if (n != cells_.size()) {
-    return;
-  }
-  for (Cell& cell : cells_) {
-    cell.trials = r.Size();
-    cell.failures = r.Size();
-    cell.until_round = r.Size();
-    cell.strikes = r.Size();
-  }
 }
 
 }  // namespace floatfl

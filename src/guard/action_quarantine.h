@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/failure/checkpoint_io.h"
 #include "src/guard/guard_config.h"
 #include "src/opt/technique.h"
 
@@ -52,15 +53,25 @@ class ActionQuarantine {
   // Number of techniques currently inside a cooldown window at `round`.
   size_t BlockedCount(size_t round) const;
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    IoFixed(a, self.cells_, "guard quarantine cell count mismatch");
+  }
+
   struct Cell {
     size_t trials = 0;
     size_t failures = 0;
     size_t until_round = 0;  // blocked while round < until_round
     size_t strikes = 0;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      Io(a, self.trials, self.failures, self.until_round, self.strikes);
+    }
   };
 
   const Cell& CellFor(TechniqueKind technique) const;

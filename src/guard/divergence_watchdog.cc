@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/failure/checkpoint_io.h"
-
 namespace floatfl {
 
 WatchdogVerdict DivergenceWatchdog::Check(const HealthSignal& health) {
@@ -38,18 +36,6 @@ void DivergenceWatchdog::ResetAfterRollback(double restored_metric) {
   best_ = restored_metric;
   has_best_ = true;
   stall_rounds_ = 0;
-}
-
-void DivergenceWatchdog::SaveState(CheckpointWriter& w) const {
-  w.Bool(has_best_);
-  w.F64(best_);
-  w.Size(stall_rounds_);
-}
-
-void DivergenceWatchdog::LoadState(CheckpointReader& r) {
-  has_best_ = r.Bool();
-  best_ = r.F64();
-  stall_rounds_ = r.Size();
 }
 
 }  // namespace floatfl

@@ -12,12 +12,10 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/failure/checkpoint_io.h"
 #include "src/guard/guard_config.h"
 
 namespace floatfl {
-
-class CheckpointWriter;
-class CheckpointReader;
 
 // One round's health snapshot. `loss` is optional context (0 when the engine
 // has no loss notion); a non-finite value in either field is a trigger.
@@ -60,10 +58,15 @@ class DivergenceWatchdog {
   double Best() const { return best_; }
   size_t StallRounds() const { return stall_rounds_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.has_best_, self.best_, self.stall_rounds_);
+  }
+
   GuardConfig config_;
   bool has_best_ = false;
   double best_ = 0.0;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 
@@ -24,27 +23,6 @@ const SnapshotRing::Entry& SnapshotRing::FromNewest(size_t depth) const {
   FLOATFL_CHECK_MSG(!entries_.empty(), "SnapshotRing::FromNewest on an empty ring");
   const size_t clamped = std::min(depth, entries_.size() - 1);
   return entries_[entries_.size() - 1 - clamped];
-}
-
-void SnapshotRing::SaveState(CheckpointWriter& w) const {
-  w.Size(entries_.size());
-  for (const Entry& e : entries_) {
-    w.Size(e.round);
-    w.F64(e.metric);
-    w.Str(e.blob);
-  }
-}
-
-void SnapshotRing::LoadState(CheckpointReader& r) {
-  entries_.clear();
-  const size_t n = r.Size();
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    Entry e;
-    e.round = r.Size();
-    e.metric = r.F64();
-    e.blob = r.Str();
-    entries_.push_back(std::move(e));
-  }
 }
 
 }  // namespace floatfl

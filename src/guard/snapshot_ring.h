@@ -14,10 +14,9 @@
 #include <deque>
 #include <string>
 
-namespace floatfl {
+#include "src/failure/checkpoint_io.h"
 
-class CheckpointWriter;
-class CheckpointReader;
+namespace floatfl {
 
 class SnapshotRing {
  public:
@@ -25,6 +24,11 @@ class SnapshotRing {
     size_t round = 0;
     double metric = 0.0;
     std::string blob;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      Io(a, self.round, self.metric, self.blob);
+    }
   };
 
   SnapshotRing() = default;
@@ -40,8 +44,8 @@ class SnapshotRing {
   // to the oldest entry.
   const Entry& FromNewest(size_t depth) const;
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Io(w, entries_); }
+  void LoadState(CheckpointReader& r) { Io(r, entries_); }
 
  private:
   size_t capacity_ = 0;

@@ -112,26 +112,4 @@ bool TrainingGuard::EndRound(size_t round, const HealthSignal& health, const Sav
   return true;
 }
 
-void TrainingGuard::SaveState(CheckpointWriter& w) const {
-  watchdog_.SaveState(w);
-  ring_.SaveState(w);
-  quarantine_.SaveState(w);
-  tracker_.SaveState(w);
-  w.Size(safe_mode_until_round_);
-  w.Size(consecutive_triggers_);
-  w.Size(next_snapshot_round_);
-  w.Size(last_round_begun_);
-}
-
-void TrainingGuard::LoadState(CheckpointReader& r) {
-  watchdog_.LoadState(r);
-  ring_.LoadState(r);
-  quarantine_.LoadState(r);
-  tracker_.LoadState(r);
-  safe_mode_until_round_ = r.Size();
-  consecutive_triggers_ = r.Size();
-  next_snapshot_round_ = r.Size();
-  last_round_begun_ = r.Size();
-}
-
 }  // namespace floatfl

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <functional>
 
+#include "src/failure/checkpoint_io.h"
 #include "src/guard/action_quarantine.h"
 #include "src/guard/divergence_watchdog.h"
 #include "src/guard/guard_config.h"
@@ -69,10 +70,16 @@ class TrainingGuard {
   const ActionQuarantine& quarantine() const { return quarantine_; }
   const SnapshotRing& ring() const { return ring_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.watchdog_, self.ring_, self.quarantine_, self.tracker_, self.safe_mode_until_round_,
+       self.consecutive_triggers_, self.next_snapshot_round_, self.last_round_begun_);
+  }
+
   GuardConfig config_;
   DivergenceWatchdog watchdog_;
   SnapshotRing ring_;

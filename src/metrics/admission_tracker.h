@@ -45,24 +45,16 @@ class AdmissionTracker {
     return deduplicated_ + shed_ + rate_limited_ + replay_rejected_;
   }
 
-  void SaveState(CheckpointWriter& w) const {
-    w.Size(admitted_);
-    w.Size(deduplicated_);
-    w.Size(shed_);
-    w.Size(rate_limited_);
-    w.Size(replay_rejected_);
-    w.Size(peak_queue_depth_);
-  }
-  void LoadState(CheckpointReader& r) {
-    admitted_ = r.Size();
-    deduplicated_ = r.Size();
-    shed_ = r.Size();
-    rate_limited_ = r.Size();
-    replay_rejected_ = r.Size();
-    peak_queue_depth_ = r.Size();
-  }
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.admitted_, self.deduplicated_, self.shed_, self.rate_limited_, self.replay_rejected_,
+       self.peak_queue_depth_);
+  }
+
   size_t admitted_ = 0;
   size_t deduplicated_ = 0;
   size_t shed_ = 0;

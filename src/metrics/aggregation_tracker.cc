@@ -43,28 +43,4 @@ size_t AggregationTracker::TotalTrimmed() const {
   return total;
 }
 
-void AggregationTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(history_.size());
-  for (const auto& r : history_) {
-    w.Size(r.byzantine_selected);
-    w.Size(r.updates_clipped);
-    w.Size(r.krum_rejections);
-    w.Size(r.updates_trimmed);
-  }
-}
-
-void AggregationTracker::LoadState(CheckpointReader& r) {
-  history_.clear();
-  const size_t n = r.Size();
-  history_.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    AggregationRoundRecord record;
-    record.byzantine_selected = r.Size();
-    record.updates_clipped = r.Size();
-    record.krum_rejections = r.Size();
-    record.updates_trimmed = r.Size();
-    history_.push_back(record);
-  }
-}
-
 }  // namespace floatfl

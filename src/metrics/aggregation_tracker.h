@@ -19,6 +19,11 @@ struct AggregationRoundRecord {
   size_t updates_clipped = 0;
   size_t krum_rejections = 0;
   size_t updates_trimmed = 0;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.byzantine_selected, self.updates_clipped, self.krum_rejections, self.updates_trimmed);
+  }
 };
 
 class AggregationTracker {
@@ -36,8 +41,8 @@ class AggregationTracker {
   size_t TotalTrimmed() const;
 
   // Checkpoint/resume.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Io(w, history_); }
+  void LoadState(CheckpointReader& r) { Io(r, history_); }
 
  private:
   std::vector<AggregationRoundRecord> history_;

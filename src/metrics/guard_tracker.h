@@ -10,10 +10,9 @@
 
 #include <cstddef>
 
-namespace floatfl {
+#include "src/failure/checkpoint_io.h"
 
-class CheckpointWriter;
-class CheckpointReader;
+namespace floatfl {
 
 class GuardTracker {
  public:
@@ -41,10 +40,17 @@ class GuardTracker {
   size_t RejectedRewards() const { return rejected_rewards_; }
   size_t SafeModeRounds() const { return safe_mode_rounds_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.snapshots_, self.nonfinite_triggers_, self.collapse_triggers_, self.stall_triggers_,
+       self.rollbacks_, self.masked_actions_, self.quarantine_openings_, self.rejected_rewards_,
+       self.safe_mode_rounds_);
+  }
+
   size_t snapshots_ = 0;
   size_t nonfinite_triggers_ = 0;
   size_t collapse_triggers_ = 0;

@@ -85,49 +85,4 @@ size_t ParticipationTracker::NeverCompleted() const {
   return count;
 }
 
-void ParticipationTracker::SaveState(CheckpointWriter& w) const {
-  w.SizeVec(selected_);
-  w.SizeVec(completed_);
-  w.Size(per_technique_.size());
-  for (const auto& [kind, stats] : per_technique_) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.Size(stats.success);
-    w.Size(stats.failure);
-  }
-  w.Size(dropouts_by_technique_.size());
-  for (const auto& [kind, reasons] : dropouts_by_technique_) {
-    w.U32(static_cast<uint32_t>(kind));
-    w.Size(reasons.size());
-    for (const auto& [reason, count] : reasons) {
-      w.U32(reason);
-      w.Size(count);
-    }
-  }
-}
-
-void ParticipationTracker::LoadState(CheckpointReader& r) {
-  selected_ = r.SizeVec();
-  completed_ = r.SizeVec();
-  per_technique_.clear();
-  const size_t n = r.Size();
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    const TechniqueKind kind = static_cast<TechniqueKind>(r.U32());
-    TechniqueStats stats;
-    stats.success = r.Size();
-    stats.failure = r.Size();
-    per_technique_[kind] = stats;
-  }
-  dropouts_by_technique_.clear();
-  const size_t kinds = r.Size();
-  for (size_t i = 0; i < kinds && r.ok(); ++i) {
-    const TechniqueKind kind = static_cast<TechniqueKind>(r.U32());
-    ReasonCounts& reasons = dropouts_by_technique_[kind];
-    const size_t entries = r.Size();
-    for (size_t j = 0; j < entries && r.ok(); ++j) {
-      const uint32_t reason = r.U32();
-      reasons[reason] = r.Size();
-    }
-  }
-}
-
 }  // namespace floatfl

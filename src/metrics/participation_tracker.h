@@ -47,6 +47,11 @@ class ParticipationTracker {
   struct TechniqueStats {
     size_t success = 0;
     size_t failure = 0;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      Io(a, self.success, self.failure);
+    }
   };
   const std::map<TechniqueKind, TechniqueStats>& PerTechnique() const { return per_technique_; }
 
@@ -62,10 +67,15 @@ class ParticipationTracker {
   const std::vector<size_t>& completed() const { return completed_; }
 
   // Checkpoint/resume. Not thread-safe; call with no in-flight Record.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.selected_, self.completed_, self.per_technique_, self.dropouts_by_technique_);
+  }
+
   std::mutex mu_;  // serializes Record
   std::vector<size_t> selected_;
   std::vector<size_t> completed_;

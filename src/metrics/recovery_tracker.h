@@ -14,10 +14,9 @@
 
 #include <cstddef>
 
-namespace floatfl {
+#include "src/failure/checkpoint_io.h"
 
-class CheckpointWriter;
-class CheckpointReader;
+namespace floatfl {
 
 class RecoveryTracker {
  public:
@@ -48,10 +47,16 @@ class RecoveryTracker {
   size_t CheckpointsCollected() const { return checkpoints_collected_; }
   size_t TempsSwept() const { return temps_swept_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.restarts_, self.archives_skipped_, self.rounds_replayed_, self.checkpoints_written_,
+       self.checkpoints_failed_, self.checkpoints_collected_, self.temps_swept_);
+  }
+
   size_t restarts_ = 0;
   size_t archives_skipped_ = 0;
   size_t rounds_replayed_ = 0;

@@ -26,24 +26,4 @@ ResourceTotals ResourceAccountant::Total() const {
   return t;
 }
 
-void ResourceAccountant::SaveState(CheckpointWriter& w) const {
-  w.F64(useful_.compute_hours);
-  w.F64(useful_.comm_hours);
-  w.F64(useful_.memory_tb);
-  w.F64(wasted_.compute_hours);
-  w.F64(wasted_.comm_hours);
-  w.F64(wasted_.memory_tb);
-  w.Size(records_);
-}
-
-void ResourceAccountant::LoadState(CheckpointReader& r) {
-  useful_.compute_hours = r.F64();
-  useful_.comm_hours = r.F64();
-  useful_.memory_tb = r.F64();
-  wasted_.compute_hours = r.F64();
-  wasted_.comm_hours = r.F64();
-  wasted_.memory_tb = r.F64();
-  records_ = r.Size();
-}
-
 }  // namespace floatfl

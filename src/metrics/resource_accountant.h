@@ -49,10 +49,16 @@ class ResourceAccountant {
   size_t RecordedRounds() const { return records_; }
 
   // Checkpoint/resume. Not thread-safe; call with no in-flight Record.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.useful_.compute_hours, self.useful_.comm_hours, self.useful_.memory_tb,
+       self.wasted_.compute_hours, self.wasted_.comm_hours, self.wasted_.memory_tb, self.records_);
+  }
+
   std::mutex mu_;  // serializes Record
   ResourceTotals useful_;
   ResourceTotals wasted_;

@@ -53,10 +53,18 @@ class SalvageTracker {
   size_t BackupsRedundant() const { return backups_redundant_; }
   size_t DeadlineMissesAverted() const { return deadline_misses_averted_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.partials_salvaged_, self.partials_below_min_, self.partials_rejected_,
+       self.salvaged_steps_, self.salvaged_fraction_sum_, self.salvaged_progress_mb_,
+       self.backups_planned_, self.backups_won_, self.backups_redundant_,
+       self.deadline_misses_averted_);
+  }
+
   size_t partials_salvaged_ = 0;
   size_t partials_below_min_ = 0;
   size_t partials_rejected_ = 0;

@@ -55,10 +55,19 @@ class TopologyTracker {
   double Tier1WireMb() const { return tier1_wire_mb_; }
   double Tier1RetransmittedMb() const { return tier1_retransmitted_mb_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.edge_crashes_, self.edge_blackouts_, self.reparented_clients_,
+       self.orphaned_clients_, self.partials_forwarded_, self.partials_lost_,
+       self.tampered_partials_, self.tampered_rejections_, self.late_partials_,
+       self.edge_agg_exclusions_, self.edge_transfer_attempts_, self.tier1_wire_mb_,
+       self.tier1_retransmitted_mb_);
+  }
+
   size_t edge_crashes_ = 0;
   size_t edge_blackouts_ = 0;
   size_t reparented_clients_ = 0;

@@ -17,26 +17,4 @@ void TransportTracker::Record(size_t attempts, double wire_mb, double retransmit
   backoff_s_ += backoff_s;
 }
 
-void TransportTracker::SaveState(CheckpointWriter& w) const {
-  w.Size(transfers_);
-  w.Size(attempts_);
-  w.Size(timeouts_);
-  w.F64(wire_mb_);
-  w.F64(retransmitted_mb_);
-  w.F64(salvaged_mb_);
-  w.F64(progress_mb_);
-  w.F64(backoff_s_);
-}
-
-void TransportTracker::LoadState(CheckpointReader& r) {
-  transfers_ = r.Size();
-  attempts_ = r.Size();
-  timeouts_ = r.Size();
-  wire_mb_ = r.F64();
-  retransmitted_mb_ = r.F64();
-  salvaged_mb_ = r.F64();
-  progress_mb_ = r.F64();
-  backoff_s_ = r.F64();
-}
-
 }  // namespace floatfl

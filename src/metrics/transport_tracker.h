@@ -35,10 +35,16 @@ class TransportTracker {
   double TotalProgressMb() const { return progress_mb_; }
   double TotalBackoffS() const { return backoff_s_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.transfers_, self.attempts_, self.timeouts_, self.wire_mb_, self.retransmitted_mb_,
+       self.salvaged_mb_, self.progress_mb_, self.backoff_s_);
+  }
+
   size_t transfers_ = 0;
   size_t attempts_ = 0;
   size_t timeouts_ = 0;

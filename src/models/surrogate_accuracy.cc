@@ -167,20 +167,4 @@ double SurrogateAccuracyModel::DataCoverage() const {
   return covered;
 }
 
-void SurrogateAccuracyModel::SaveState(CheckpointWriter& w) const {
-  w.F64(global_accuracy_);
-  w.Size(rounds_);
-  w.F64(quality_ewma_);
-  w.F64Vec(contrib_ewma_);
-  w.BoolVec(ever_contributed_);
-}
-
-void SurrogateAccuracyModel::LoadState(CheckpointReader& r) {
-  global_accuracy_ = r.F64();
-  rounds_ = r.Size();
-  quality_ewma_ = r.F64();
-  contrib_ewma_ = r.F64Vec();
-  ever_contributed_ = r.BoolVec();
-}
-
 }  // namespace floatfl

@@ -54,6 +54,12 @@ struct ClientContribution {
   // participation without diluting the cohort's quality, and weight 1.0 is
   // bit-identical to the pre-salvage arithmetic.
   double weight = 1.0;
+
+  // A buffered FedBuff update in the async payload.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.client_id, self.quality, self.staleness, self.weight);
+  }
 };
 
 class SurrogateAccuracyModel {
@@ -79,10 +85,16 @@ class SurrogateAccuracyModel {
 
   // Checkpoint/resume of the mutable convergence state (the shard-derived
   // divergence/share tables are rebuilt deterministically at construction).
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.global_accuracy_, self.rounds_, self.quality_ewma_, self.contrib_ewma_,
+       self.ever_contributed_);
+  }
+
   SurrogateConfig config_;
   double global_accuracy_;
   size_t rounds_ = 0;

@@ -58,18 +58,4 @@ double AdaptiveDeadlineController::ThroughputEstimate(size_t client_id) const {
   return throughput_ewma_[client_id];
 }
 
-void AdaptiveDeadlineController::SaveState(CheckpointWriter& w) const {
-  w.F64(base_deadline_s_);
-  w.F64Vec(round_time_ewma_);
-  w.F64Vec(throughput_ewma_);
-  w.U8Vec(seen_);
-}
-
-void AdaptiveDeadlineController::LoadState(CheckpointReader& r) {
-  base_deadline_s_ = r.F64();
-  round_time_ewma_ = r.F64Vec();
-  throughput_ewma_ = r.F64Vec();
-  seen_ = r.U8Vec();
-}
-
 }  // namespace floatfl

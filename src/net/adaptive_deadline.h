@@ -57,10 +57,15 @@ class AdaptiveDeadlineController {
   // observed).
   double ThroughputEstimate(size_t client_id) const;
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.base_deadline_s_, self.round_time_ewma_, self.throughput_ewma_, self.seen_);
+  }
+
   AdaptiveDeadlineConfig config_;
   double base_deadline_s_ = 0.0;
   std::vector<double> round_time_ewma_;

@@ -88,16 +88,4 @@ std::vector<BackupPlan> SpeculativeScheduler::Plan(size_t round,
   return plans;
 }
 
-void SpeculativeScheduler::SaveState(CheckpointWriter& w) const {
-  w.U64(cursor_);
-  w.U64(backups_planned_);
-  w.U64(rounds_planned_);
-}
-
-void SpeculativeScheduler::LoadState(CheckpointReader& r) {
-  cursor_ = r.U64();
-  backups_planned_ = r.U64();
-  rounds_planned_ = r.U64();
-}
-
 }  // namespace floatfl

@@ -45,10 +45,15 @@ class SpeculativeScheduler {
   uint64_t BackupsPlanned() const { return backups_planned_; }
   uint64_t RoundsPlanned() const { return rounds_planned_; }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.cursor_, self.backups_planned_, self.rounds_planned_);
+  }
+
   SalvageConfig config_;
   // Ring-scan start offset; advances by the number of backups drafted so
   // consecutive rounds spread backup duty across the population instead of

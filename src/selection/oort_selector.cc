@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 #include "src/fl/client.h"
 
 namespace floatfl {
@@ -135,26 +134,6 @@ void OortSelector::OnTransfer(size_t client_id, double effective_mbps, double no
   const double ratio = effective_mbps / nominal_mbps;
   net_factor_[client_id] = Client::kProfileEwmaRetain * net_factor_[client_id] +
                            Client::kProfileEwmaObserve * ratio;
-}
-
-void OortSelector::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64Vec(utility_);
-  w.BoolVec(explored_);
-  w.SizeVec(failures_);
-  w.F64Vec(net_factor_);
-  w.F64(pacer_fraction_);
-  w.F64(completion_ewma_);
-}
-
-void OortSelector::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  utility_ = r.F64Vec();
-  explored_ = r.BoolVec();
-  failures_ = r.SizeVec();
-  net_factor_ = r.F64Vec();
-  pacer_fraction_ = r.F64();
-  completion_ewma_ = r.F64();
 }
 
 }  // namespace floatfl

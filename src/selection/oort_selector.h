@@ -35,8 +35,8 @@ class OortSelector final : public Selector {
   void OnTransfer(size_t client_id, double effective_mbps, double nominal_mbps) override;
   std::string Name() const override { return "oort"; }
 
-  void SaveState(CheckpointWriter& w) const override;
-  void LoadState(CheckpointReader& r) override;
+  void SaveState(CheckpointWriter& w) const override { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) override { Fields(*this, r); }
 
   double UtilityOf(size_t client_id) const { return utility_[client_id]; }
   double IngestUtility(size_t client_id) const override { return utility_[client_id]; }
@@ -47,6 +47,12 @@ class OortSelector final : public Selector {
   double PacerFraction() const { return pacer_fraction_; }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_, self.utility_, self.explored_, self.failures_, self.net_factor_,
+       self.pacer_fraction_, self.completion_ewma_);
+  }
+
   Rng rng_;
   Params params_;
   std::vector<double> utility_;

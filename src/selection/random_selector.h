@@ -5,7 +5,7 @@
 #define SRC_SELECTION_RANDOM_SELECTOR_H_
 
 #include "src/common/rng.h"
-#include "src/failure/checkpoint_util.h"
+#include "src/failure/checkpoint_io.h"
 #include "src/selection/selector.h"
 
 namespace floatfl {
@@ -18,8 +18,8 @@ class RandomSelector final : public Selector {
                              std::vector<Client>& clients) override;
   std::string Name() const override { return "fedavg"; }
 
-  void SaveState(CheckpointWriter& w) const override { SaveRng(w, rng_); }
-  void LoadState(CheckpointReader& r) override { LoadRng(r, rng_); }
+  void SaveState(CheckpointWriter& w) const override { Io(w, rng_); }
+  void LoadState(CheckpointReader& r) override { Io(r, rng_); }
 
  private:
   Rng rng_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 #include "src/fl/client.h"
 
 namespace floatfl {
@@ -104,26 +103,6 @@ void ReflSelector::OnTransfer(size_t client_id, double effective_mbps, double no
   const double ratio = effective_mbps / nominal_mbps;
   net_factor_[client_id] = Client::kProfileEwmaRetain * net_factor_[client_id] +
                            Client::kProfileEwmaObserve * ratio;
-}
-
-void ReflSelector::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64Vec(predicted_window_s_);
-  w.F64Vec(estimated_duration_s_);
-  w.SizeVec(last_participated_);
-  w.BoolVec(seen_);
-  w.F64Vec(net_factor_);
-  w.F64(last_deadline_s_);
-}
-
-void ReflSelector::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  predicted_window_s_ = r.F64Vec();
-  estimated_duration_s_ = r.F64Vec();
-  last_participated_ = r.SizeVec();
-  seen_ = r.BoolVec();
-  net_factor_ = r.F64Vec();
-  last_deadline_s_ = r.F64();
 }
 
 }  // namespace floatfl

@@ -30,13 +30,19 @@ class ReflSelector final : public Selector {
   void OnTransfer(size_t client_id, double effective_mbps, double nominal_mbps) override;
   std::string Name() const override { return "refl"; }
 
-  void SaveState(CheckpointWriter& w) const override;
-  void LoadState(CheckpointReader& r) override;
+  void SaveState(CheckpointWriter& w) const override { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) override { Fields(*this, r); }
 
   double PredictedWindow(size_t client_id) const { return predicted_window_s_[client_id]; }
   double EstimatedDuration(size_t client_id) const { return estimated_duration_s_[client_id]; }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_, self.predicted_window_s_, self.estimated_duration_s_, self.last_participated_,
+       self.seen_, self.net_factor_, self.last_deadline_s_);
+  }
+
   Rng rng_;
   std::vector<double> predicted_window_s_;    // EWMA of observed on-periods
   std::vector<double> estimated_duration_s_;  // EWMA of observed round durations

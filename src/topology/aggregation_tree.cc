@@ -62,16 +62,4 @@ size_t AggregationTree::EffectiveEdge(size_t client_id) const {
   return StandinFor(HomeEdge(client_id));
 }
 
-void AggregationTree::SaveState(CheckpointWriter& w) const {
-  w.SizeVec(cooldown_until_);
-  w.U8Vec(up_);
-  w.SizeVec(foster_);
-}
-
-void AggregationTree::LoadState(CheckpointReader& r) {
-  cooldown_until_ = r.SizeVec();
-  up_ = r.U8Vec();
-  foster_ = r.SizeVec();
-}
-
 }  // namespace floatfl

@@ -64,10 +64,15 @@ class AggregationTree {
     return effective != kOrphaned && effective != HomeEdge(client_id);
   }
 
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.cooldown_until_, self.up_, self.foster_);
+  }
+
   TopologyConfig config_;
   size_t num_clients_ = 0;
   // Per-edge first round at which a crashed edge may rejoin.

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -63,30 +62,6 @@ double AvailabilityTrace::PeriodEndAfter(double time_s) { return SegmentAt(time_
 bool AvailabilityTrace::AvailableFor(double start_s, double duration_s) {
   const Segment& seg = SegmentAt(start_s);
   return seg.on && seg.end >= start_s + duration_s;
-}
-
-void AvailabilityTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.Size(segments_.size());
-  for (const Segment& seg : segments_) {
-    w.F64(seg.start);
-    w.F64(seg.end);
-    w.Bool(seg.on);
-  }
-}
-
-void AvailabilityTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  const size_t n = r.Size();
-  segments_.clear();
-  segments_.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) {
-    Segment seg;
-    seg.start = r.F64();
-    seg.end = r.F64();
-    seg.on = r.Bool();
-    segments_.push_back(seg);
-  }
 }
 
 }  // namespace floatfl

@@ -36,14 +36,24 @@ class AvailabilityTrace {
 
   // Checkpoint/resume: the retained segments plus the RNG stream, so a
   // restored trace continues the exact same renewal process.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_, self.segments_);
+  }
+
   struct Segment {
     double start;
     double end;
     bool on;
+
+    template <typename Self, typename Archive>
+    static void Fields(Self& self, Archive& a) {
+      Io(a, self.start, self.end, self.on);
+    }
   };
 
   void ExtendTo(double time_s);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 namespace {
@@ -75,20 +74,6 @@ double ComputeTrace::GflopsAt(double time_s) {
     current_gflops_ = std::max(0.05 * base_gflops_, base_gflops_ * std::exp(drift_));
   }
   return current_gflops_;
-}
-
-void ComputeTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64(drift_);
-  w.F64(current_time_);
-  w.F64(current_gflops_);
-}
-
-void ComputeTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  drift_ = r.F64();
-  current_time_ = r.F64();
-  current_gflops_ = r.F64();
 }
 
 }  // namespace floatfl

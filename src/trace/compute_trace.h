@@ -36,10 +36,15 @@ class ComputeTrace {
 
   // Checkpoint/resume of the mutable drift process (static device
   // parameters are rebuilt deterministically from the experiment seed).
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_, self.drift_, self.current_time_, self.current_gflops_);
+  }
+
   DeviceTier tier_;
   double base_gflops_;
   double memory_gb_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 namespace {
@@ -70,28 +69,6 @@ ResourceAvailability InterferenceModel::At(double time_s) {
     current_.network = Clamp01(static_level_.network * std::exp(0.55 * dev_net_));
   }
   return current_;
-}
-
-void InterferenceModel::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.F64(dev_cpu_);
-  w.F64(dev_mem_);
-  w.F64(dev_net_);
-  w.F64(current_time_);
-  w.F64(current_.cpu);
-  w.F64(current_.memory);
-  w.F64(current_.network);
-}
-
-void InterferenceModel::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  dev_cpu_ = r.F64();
-  dev_mem_ = r.F64();
-  dev_net_ = r.F64();
-  current_time_ = r.F64();
-  current_.cpu = r.F64();
-  current_.memory = r.F64();
-  current_.network = r.F64();
 }
 
 }  // namespace floatfl

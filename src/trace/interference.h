@@ -40,10 +40,16 @@ class InterferenceModel {
   InterferenceScenario scenario() const { return scenario_; }
 
   // Checkpoint/resume of the mutable AR(1) state.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_, self.dev_cpu_, self.dev_mem_, self.dev_net_, self.current_time_,
+       self.current_.cpu, self.current_.memory, self.current_.network);
+  }
+
   InterferenceScenario scenario_;
   Rng rng_;
   ResourceAvailability static_level_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/check.h"
-#include "src/failure/checkpoint_util.h"
 
 namespace floatfl {
 
@@ -104,24 +103,6 @@ double NetworkTrace::BandwidthMbpsAt(double time_s) {
     current_mbps_ = std::max(0.01, median * std::exp(log_dev_));
   }
   return current_mbps_;
-}
-
-void NetworkTrace::SaveState(CheckpointWriter& w) const {
-  SaveRng(w, rng_);
-  w.U32(static_cast<uint32_t>(regime_));
-  w.F64(log_dev_);
-  w.F64(current_mbps_);
-  w.F64(current_time_);
-  w.F64(last_query_s_);
-}
-
-void NetworkTrace::LoadState(CheckpointReader& r) {
-  LoadRng(r, rng_);
-  regime_ = static_cast<int>(r.U32());
-  log_dev_ = r.F64();
-  current_mbps_ = r.F64();
-  current_time_ = r.F64();
-  last_query_s_ = r.F64();
 }
 
 }  // namespace floatfl

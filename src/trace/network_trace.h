@@ -42,10 +42,17 @@ class NetworkTrace {
   NetworkKind kind() const { return kind_; }
 
   // Checkpoint/resume of the mutable regime/AR(1) process.
-  void SaveState(CheckpointWriter& w) const;
-  void LoadState(CheckpointReader& r);
+  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
+  void LoadState(CheckpointReader& r) { Fields(*this, r); }
 
  private:
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.rng_);
+    IoAs<uint32_t>(a, self.regime_);
+    Io(a, self.log_dev_, self.current_mbps_, self.current_time_, self.last_query_s_);
+  }
+
   // Advances the regime and the log-space AR(1) by one step; the bandwidth
   // they imply is derived by BandwidthMbpsAt after its last step.
   void Step();

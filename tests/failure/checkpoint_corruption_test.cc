@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <string>
 
@@ -169,6 +170,55 @@ TEST(CheckpointCorruptionTest, VflEngineRefusesCorruptArchives) {
 
   VflEngine target(config);
   SweepCorruptions(archive, path, target);
+  std::remove(path.c_str());
+}
+
+// A payload that hashes correctly but whose AggregationTracker history count
+// is 2^40: Restore bounds the count by the bytes left and returns false
+// instead of allocating for it (a throw would end RunSupervisor::Recover
+// where it should skip the archive).
+TEST(CheckpointCorruptionTest, WellHashedHugeCountIsRefused) {
+  RealFlConfig config;
+  config.num_clients = 8;
+  config.clients_per_round = 4;
+  config.num_classes = 3;
+  config.input_dim = 8;
+  config.hidden_dims = {12};
+  config.test_samples_per_class = 10;
+  config.seed = 75;
+  config.num_threads = 1;
+  const std::string path = TempPath("huge_count_real.ckpt");
+
+  RealFlEngine source(config);
+  for (size_t r = 0; r < 3; ++r) {
+    source.RunRound(TechniqueKind::kQuant8);
+  }
+  std::string payload = Serialized(source);
+  CheckpointWriter section;
+  source.aggregation_tracker().SaveState(section);
+  const size_t at = payload.find(section.buffer());
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(payload.find(section.buffer(), at + 1), std::string::npos);
+  CheckpointWriter count;
+  count.Size(size_t{1} << 40);
+  payload.replace(at, sizeof(uint64_t), count.buffer());
+
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, as the header stores it
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  CheckpointWriter archive;
+  archive.U32(Checkpointer::kMagic);
+  archive.U32(Checkpointer::kVersion);
+  archive.U32(static_cast<uint32_t>(Checkpointer::EngineTag::kReal));
+  archive.U64(FingerprintConfig(config));
+  archive.U64(hash);
+  archive.Str(payload);
+  WriteAll(path, archive.buffer());
+
+  RealFlEngine target(config);
+  EXPECT_FALSE(Checkpointer::Restore(path, target));
   std::remove(path.c_str());
 }
 

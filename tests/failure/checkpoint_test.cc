@@ -28,6 +28,14 @@ std::string TempPath(const std::string& name) {
 // ---------------------------------------------------------------------------
 // checkpoint_io: the binary archive primitives.
 
+// One value read through the field walk's encoding of its type.
+template <typename T>
+T Read(CheckpointReader& r) {
+  T v{};
+  Io(r, v);
+  return v;
+}
+
 TEST(CheckpointIoTest, PrimitiveRoundTrip) {
   CheckpointWriter w;
   w.U8(0xAB);
@@ -38,12 +46,12 @@ TEST(CheckpointIoTest, PrimitiveRoundTrip) {
   w.Bool(false);
   w.F64(-1.5e-300);
   w.F32(3.14159f);
-  w.F64Vec({0.0, -0.0, 1e308});
-  w.F32Vec({1.0f, -2.0f});
-  w.SizeVec({1, 2, 3});
-  w.U32Vec({42});
-  w.U8Vec({9, 8});
-  w.BoolVec({true, false, true});
+  Io(w, std::vector<double>{0.0, -0.0, 1e308});
+  Io(w, std::vector<float>{1.0f, -2.0f});
+  Io(w, std::vector<size_t>{1, 2, 3});
+  Io(w, std::vector<uint32_t>{42});
+  Io(w, std::vector<uint8_t>{9, 8});
+  Io(w, std::vector<bool>{true, false, true});
 
   CheckpointReader r(w.buffer());
   EXPECT_EQ(r.U8(), 0xAB);
@@ -54,12 +62,12 @@ TEST(CheckpointIoTest, PrimitiveRoundTrip) {
   EXPECT_FALSE(r.Bool());
   EXPECT_EQ(r.F64(), -1.5e-300);
   EXPECT_EQ(r.F32(), 3.14159f);
-  EXPECT_EQ(r.F64Vec(), (std::vector<double>{0.0, -0.0, 1e308}));
-  EXPECT_EQ(r.F32Vec(), (std::vector<float>{1.0f, -2.0f}));
-  EXPECT_EQ(r.SizeVec(), (std::vector<size_t>{1, 2, 3}));
-  EXPECT_EQ(r.U32Vec(), (std::vector<uint32_t>{42}));
-  EXPECT_EQ(r.U8Vec(), (std::vector<uint8_t>{9, 8}));
-  EXPECT_EQ(r.BoolVec(), (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(Read<std::vector<double>>(r), (std::vector<double>{0.0, -0.0, 1e308}));
+  EXPECT_EQ(Read<std::vector<float>>(r), (std::vector<float>{1.0f, -2.0f}));
+  EXPECT_EQ(Read<std::vector<size_t>>(r), (std::vector<size_t>{1, 2, 3}));
+  EXPECT_EQ(Read<std::vector<uint32_t>>(r), (std::vector<uint32_t>{42}));
+  EXPECT_EQ(Read<std::vector<uint8_t>>(r), (std::vector<uint8_t>{9, 8}));
+  EXPECT_EQ(Read<std::vector<bool>>(r), (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
 }
@@ -89,18 +97,18 @@ TEST(CheckpointIoTest, CorruptedLengthFieldCannotOverallocate) {
   w.Size(static_cast<size_t>(1) << 60);  // claims 2^60 elements
   w.F64(1.0);
   CheckpointReader r(w.buffer());
-  EXPECT_TRUE(r.F64Vec().empty());
+  EXPECT_TRUE(Read<std::vector<double>>(r).empty());
   EXPECT_FALSE(r.ok());
 }
 
 TEST(CheckpointIoTest, FileRoundTrip) {
   const std::string path = TempPath("io_roundtrip.ckpt");
   CheckpointWriter w;
-  w.F64Vec({1.0, 2.0, 3.0});
+  Io(w, std::vector<double>{1.0, 2.0, 3.0});
   ASSERT_TRUE(w.WriteFile(path));
   CheckpointReader r("");
   ASSERT_TRUE(CheckpointReader::FromFile(path, &r));
-  EXPECT_EQ(r.F64Vec(), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(Read<std::vector<double>>(r), (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_TRUE(r.AtEnd());
   std::remove(path.c_str());
 }

@@ -186,6 +186,62 @@ TEST(ConfigValidationDeathTest, RealEngineRefusesNegativeAlpha) {
   EXPECT_DEATH({ RealFlEngine engine(config); }, "alpha must be positive");
 }
 
+// The real engine names each field it cannot run before it builds anything:
+// the base, the model and the synthetic task come after the checks.
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroClients) {
+  RealFlConfig config = SmallReal();
+  config.num_clients = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "num_clients must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroClientsPerRound) {
+  RealFlConfig config = SmallReal();
+  config.clients_per_round = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "clients_per_round must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesOneClass) {
+  RealFlConfig config = SmallReal();
+  config.num_classes = 1;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "num_classes must be at least 2");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroInputDim) {
+  RealFlConfig config = SmallReal();
+  config.input_dim = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "input_dim must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesNegativeClassSeparation) {
+  RealFlConfig config = SmallReal();
+  config.class_separation = -1.0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "class_separation must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroHiddenWidth) {
+  RealFlConfig config = SmallReal();
+  config.hidden_dims = {0};
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "every hidden_dims width must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroBatchSize) {
+  RealFlConfig config = SmallReal();
+  config.sgd.batch_size = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "sgd.batch_size must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesZeroEpochs) {
+  RealFlConfig config = SmallReal();
+  config.sgd.epochs = 0;
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "sgd.epochs must be positive");
+}
+
+TEST(ConfigValidationDeathTest, RealEngineRefusesNanLearningRate) {
+  RealFlConfig config = SmallReal();
+  config.sgd.learning_rate = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_DEATH({ RealFlEngine engine(config); }, "sgd.learning_rate must be finite and positive");
+}
+
 TEST(ConfigValidationDeathTest, RealEngineRefusesCertainChunkLoss) {
   RealFlConfig config = SmallReal();
   config.faults.chunk_loss_prob = 1.0;

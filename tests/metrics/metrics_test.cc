@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fl/experiment.h"
+#include "src/metrics/aggregation_tracker.h"
 #include "src/metrics/participation_tracker.h"
 #include "src/metrics/resource_accountant.h"
 
@@ -108,6 +109,19 @@ TEST(ParticipationTrackerTest, AttributionRoundTripsThroughCheckpoint) {
   CheckpointWriter again;
   loaded.SaveState(again);
   EXPECT_EQ(again.buffer(), w.buffer());
+}
+
+// A history count read from a damaged archive is bounded by the bytes left:
+// a count of 2^60 fails the reader instead of reserving for it.
+TEST(AggregationTrackerTest, HugeHistoryCountFailsTheReader) {
+  CheckpointWriter w;
+  w.Size(size_t{1} << 60);
+  w.Size(1);
+  CheckpointReader r(w.buffer());
+  AggregationTracker tracker;
+  tracker.LoadState(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(tracker.rounds(), 0u);
 }
 
 }  // namespace

@@ -100,7 +100,7 @@ TEST(DurableFileTest, WriteFileWithInjectedIoMatchesDefault) {
   const std::string b = TempPath("durable_injected_b.bin");
   CheckpointWriter w;
   w.U64(0x1122334455667788ull);
-  w.F64Vec({1.0, 2.0, 3.0});
+  Io(w, std::vector<double>{1.0, 2.0, 3.0});
   ASSERT_TRUE(w.WriteFile(a));
   RecordingDurableFile io;
   ASSERT_TRUE(w.WriteFile(b, io));

@@ -19,13 +19,18 @@
 #include <vector>
 
 #include "src/core/float_controller.h"
+#include "src/core/heuristic_policy.h"
+#include "src/core/per_client_controller.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/checkpointer.h"
 #include "src/fl/async_engine.h"
 #include "src/fl/real_engine.h"
 #include "src/fl/sync_engine.h"
 #include "src/fl/tuning_policy.h"
+#include "src/fl/vfl_engine.h"
+#include "src/selection/oort_selector.h"
 #include "src/selection/random_selector.h"
+#include "src/selection/refl_selector.h"
 
 namespace floatfl {
 namespace {
@@ -333,16 +338,20 @@ template <typename Engine>
 uint64_t StateDigest(const Engine& engine, const std::vector<double>& accuracy_history) {
   CheckpointWriter w;
   engine.SaveState(w);
-  w.F64Vec(accuracy_history);
+  Io(w, accuracy_history);
   return Fnv1a(w.buffer());
+}
+
+uint64_t SyncPin(const ExperimentConfig& config, Selector& selector, TuningPolicy* policy) {
+  SyncEngine engine(config, &selector, policy);
+  const ExperimentResult result = engine.Run();
+  return StateDigest(engine, result.accuracy_history);
 }
 
 uint64_t SyncPin(const ExperimentConfig& config) {
   RandomSelector selector(config.seed);
   auto policy = FloatController::MakeDefault(config.seed, config.rounds);
-  SyncEngine engine(config, &selector, policy.get());
-  const ExperimentResult result = engine.Run();
-  return StateDigest(engine, result.accuracy_history);
+  return SyncPin(config, selector, policy.get());
 }
 
 uint64_t AsyncPin(const ExperimentConfig& config) {
@@ -707,6 +716,75 @@ TEST(StagePinTest, RealTreeDigests) {
     EXPECT_GT(salvaged, 0u);
     EXPECT_EQ(rejected > 0, kEdgeAttacks[m].mode == ByzantineMode::kScaledReplacement);
   }
+}
+
+// The selector and policy state no storm above digests. Oort, REFL, the
+// per-client controller and the heuristic are otherwise checked only by
+// save -> load -> save round trips, which pass any change that alters both
+// directions alike. A small population: the per-client controller keeps one
+// Q-table per client.
+ExperimentConfig SelectorPinConfig() {
+  ExperimentConfig config;
+  config.num_clients = 16;
+  config.clients_per_round = 5;
+  config.rounds = 30;
+  config.seed = 2718;
+  config.model = ModelId::kShuffleNetV2;
+  config.interference = InterferenceScenario::kDynamic;
+  config.faults.crash_prob = 0.15;
+  config.faults.chunk_loss_prob = 0.1;
+  config.faults.link_blackout_prob = 0.05;
+  config.faults.max_transfer_retries = 2;
+  config.guard.enabled = true;
+  config.adaptive_deadline.enabled = true;
+  config.salvage.enabled = true;
+  config.salvage.speculation = true;
+  config.salvage.speculation_margin = 0.0;
+  config.salvage.max_backup_fraction = 0.25;
+  return config;
+}
+
+TEST(StagePinTest, SelectorAndPolicyDigests) {
+  const ExperimentConfig config = SelectorPinConfig();
+  {
+    OortSelector selector(config.seed, config.num_clients);
+    auto policy = FloatController::MakeDefault(config.seed, config.rounds);
+    ExpectPin(SyncPin(config, selector, policy.get()), 0xb7f54d620b5bf315ULL);
+  }
+  {
+    ReflSelector selector(config.seed, config.num_clients);
+    auto policy = PerClientController::MakeDefault(config.num_clients, config.seed, config.rounds);
+    ExpectPin(SyncPin(config, selector, policy.get()), 0x7dd83f04e22a91b4ULL);
+  }
+  {
+    RandomSelector selector(config.seed);
+    HeuristicPolicy policy(config.seed);
+    ExpectPin(SyncPin(config, selector, &policy), 0x11486cbadef17418ULL);
+  }
+}
+
+// The VFL engine's payload, guard snapshots of the split model included.
+TEST(StagePinTest, VflDigest) {
+  VflConfig config;
+  config.num_parties = 3;
+  config.features_per_party = 5;
+  config.embedding_dim = 6;
+  config.num_classes = 4;
+  config.train_samples = 120;
+  config.test_samples = 80;
+  config.seed = 37;
+  config.faults.crash_prob = 0.2;
+  config.faults.chunk_loss_prob = 0.2;
+  config.faults.link_blackout_prob = 0.1;
+  config.faults.transport_chunk_mb = 0.05;
+  config.guard.enabled = true;
+  VflEngine engine(config);
+  std::vector<double> accuracy_history;
+  for (size_t epoch = 0; epoch < 8; ++epoch) {
+    accuracy_history.push_back(engine.TrainEpoch(TechniqueKind::kQuant8).test_accuracy);
+  }
+  EXPECT_GT(engine.guard().ring().Size(), 0u);
+  ExpectPin(StateDigest(engine, accuracy_history), 0x25ced23304c9c1b3ULL);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/failure/checkpoint_io.h"
@@ -96,6 +97,23 @@ TEST(AvailabilityTraceTest, RestoreThenRequeryCatchesUp) {
     EXPECT_EQ(before[i], trace.IsAvailableAt(t)) << "t=" << t;
     EXPECT_EQ(ends_before[i], trace.PeriodEndAfter(t)) << "t=" << t;
   }
+}
+
+// A segment count read from a damaged archive is bounded by the bytes left:
+// a count of 2^60 fails the reader instead of reserving for it.
+TEST(AvailabilityTraceTest, HugeSegmentCountFailsTheReader) {
+  AvailabilityTrace trace(10);
+  (void)trace.IsAvailableAt(1000.0);
+  CheckpointWriter w;
+  trace.SaveState(w);
+  // The segment count follows the six RNG state words.
+  CheckpointWriter count;
+  count.Size(size_t{1} << 60);
+  std::string bytes = w.buffer();
+  bytes.replace(6 * sizeof(uint64_t), sizeof(uint64_t), count.buffer());
+  CheckpointReader r(bytes);
+  trace.LoadState(r);
+  EXPECT_FALSE(r.ok());
 }
 
 // Each query drops the periods before the one it lands in. Dropping them must
