@@ -71,9 +71,9 @@ void RunRealSweep() {
     table.Cell(arm.name)
         .Cell(100.0 * stats.test_accuracy, 1)
         .Cell(static_cast<long long>(byzantine))
-        .Cell(static_cast<long long>(tracker.TotalClipped()))
-        .Cell(static_cast<long long>(tracker.TotalKrumRejections()))
-        .Cell(static_cast<long long>(tracker.TotalTrimmed()))
+        .Cell(static_cast<long long>(tracker.Totals().updates_clipped))
+        .Cell(static_cast<long long>(tracker.Totals().krum_rejections))
+        .Cell(static_cast<long long>(tracker.Totals().updates_trimmed))
         .EndRow();
   }
   table.Print(std::cout);

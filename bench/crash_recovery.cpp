@@ -52,7 +52,7 @@ std::string TrainingState(const SyncEngine& engine) {
   CheckpointWriter full;
   engine.SaveState(full);
   CheckpointWriter tail;
-  engine.recovery_tracker().SaveState(tail);
+  Io(tail, engine.recovery_tracker());
   return full.buffer().substr(0, full.buffer().size() - tail.buffer().size());
 }
 
@@ -112,10 +112,10 @@ CellResult RunCell(const ExperimentConfig& config, const std::string& golden,
   if (cell.converged) {
     const RecoveryTracker& tracker = engine->recovery_tracker();
     cell.kills = plan.KillsFired();
-    cell.restarts = tracker.Restarts();
-    cell.rounds_replayed = tracker.RoundsReplayed();
-    cell.checkpoints_written = tracker.CheckpointsWritten();
-    cell.checkpoints_failed = tracker.CheckpointsFailed();
+    cell.restarts = tracker.restarts;
+    cell.rounds_replayed = tracker.rounds_replayed;
+    cell.checkpoints_written = tracker.checkpoints_written;
+    cell.checkpoints_failed = tracker.checkpoints_failed;
     cell.identical = TrainingState(*engine) == golden;
   }
   WipeRing(recovery.dir);

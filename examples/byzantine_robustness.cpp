@@ -65,8 +65,8 @@ int main() {
 
   const auto& tracker = defended_engine.aggregation_tracker();
   std::cout << "\nDefense accounting (Krum arm): " << byzantine_updates
-            << " Byzantine updates submitted, " << tracker.TotalKrumRejections()
-            << " updates rejected by Multi-Krum across " << tracker.rounds() << " rounds.\n";
+            << " Byzantine updates submitted, " << tracker.Totals().krum_rejections
+            << " updates rejected by Multi-Krum across " << tracker.history.size() << " rounds.\n";
   std::cout << "Attack-free runs are bit-identical to the historical engine: the\n"
                "default AggregatorConfig (FedAvg) and ByzantineMode::kNone are\n"
                "strict no-ops.\n";

@@ -95,6 +95,13 @@ struct AdmissionConfig {
     }
     return 1.0 / (1.0 + staleness_decay * staleness);
   }
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.queue_capacity, self.shed_policy, self.dedup, self.dedup_window_rounds,
+       self.reject_replays, self.max_update_age, self.rate_tokens_per_round, self.rate_bucket_cap,
+       self.async_max_staleness, self.staleness_downweight, self.staleness_decay);
+  }
 };
 
 // Aborts the process with a descriptive message when `config` violates an

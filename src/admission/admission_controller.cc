@@ -46,7 +46,7 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
       if (!seen_.insert(key).second) {
         reject(i, DropoutReason::kDuplicate);
         if (tracker != nullptr) {
-          tracker->RecordDeduplicated();
+          ++tracker->deduplicated;
         }
         continue;
       }
@@ -56,7 +56,7 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
     if (config_.reject_replays && a.round + config_.max_update_age < now_round) {
       reject(i, DropoutReason::kReplayed);
       if (tracker != nullptr) {
-        tracker->RecordReplayRejected();
+        ++tracker->replay_rejected;
       }
       continue;
     }
@@ -76,7 +76,7 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
       if (bucket.tokens < 1.0) {
         reject(i, DropoutReason::kRateLimited);
         if (tracker != nullptr) {
-          tracker->RecordRateLimited();
+          ++tracker->rate_limited;
         }
         continue;
       }
@@ -122,7 +122,7 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
         }
       }
       if (tracker != nullptr) {
-        tracker->RecordShed();
+        ++tracker->shed;
       }
       if (evict == queue.size()) {
         reject(i, DropoutReason::kShed);
@@ -141,7 +141,7 @@ std::vector<AdmissionController::Verdict> AdmissionController::Admit(
     verdicts[idx].weight = config_.StalenessWeight(arrivals[idx].staleness);
   }
   if (tracker != nullptr) {
-    tracker->RecordAdmitted(queue.size());
+    tracker->admitted += queue.size();
     tracker->RecordQueueDepth(peak_depth);
   }
   return verdicts;

@@ -64,10 +64,12 @@ class UpdateLog {
 
   size_t size() const { return entries_.size(); }
 
-  void SaveState(CheckpointWriter& w) const { Io(w, entries_); }
-  void LoadState(CheckpointReader& r) { Io(r, entries_); }
+  void SaveState(CheckpointWriter& w) const { IoFixed(w, entries_, kMismatch); }
+  void LoadState(CheckpointReader& r) { IoFixed(r, entries_, kMismatch); }
 
  private:
+  static constexpr const char* kMismatch = "checkpoint update log population mismatch";
+
   std::vector<LoggedUpload> entries_;
 };
 

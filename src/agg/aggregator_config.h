@@ -36,6 +36,12 @@ struct AggregatorConfig {
   // kNormClip: L2 radius, in delta space (update minus current global
   // model), that each update is clipped to before the weighted mean.
   double clip_norm = 10.0;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.kind, self.trim_fraction, self.krum_assumed_byzantine, self.multi_krum_m,
+       self.clip_norm);
+  }
 };
 
 }  // namespace floatfl

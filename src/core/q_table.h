@@ -57,7 +57,8 @@ class QTable {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.q_, self.visits_);
+    IoFixed(a, self.q_, "checkpoint Q-table shape mismatch");
+    IoFixed(a, self.visits_, "checkpoint Q-table shape mismatch");
   }
 
   size_t Index(size_t state, size_t action) const;

@@ -37,6 +37,7 @@
 #include <tuple>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
@@ -318,10 +319,22 @@ bool IoCount(A& a, size_t n, const char* mismatch) {
 }
 
 // A container of fixed length: its count, then its elements, read in place;
-// a failed archive's count skips them.
+// a failed archive's count skips them. A vector<bool>'s elements are proxies,
+// so each goes through a bool.
 template <typename A, typename C>
 void IoFixed(A& a, C& c, const char* mismatch) {
-  if (IoCount(a, c.size(), mismatch)) {
+  if (!IoCount(a, c.size(), mismatch)) {
+    return;
+  }
+  if constexpr (std::is_same_v<std::remove_const_t<C>, std::vector<bool>>) {
+    for (size_t i = 0; i < c.size(); ++i) {
+      bool bit = c[i];
+      Io(a, bit);
+      if constexpr (!std::is_const_v<C>) {
+        c[i] = bit;
+      }
+    }
+  } else {
     for (auto& x : c) Io(a, x);
   }
 }

@@ -29,9 +29,10 @@ struct ExperimentConfig;
 struct RealFlConfig;
 struct VflConfig;
 
-// Stable fingerprints of the result-determining configuration fields
-// (num_threads is deliberately excluded: a checkpoint taken at one thread
-// count restores at any other — results are thread-count invariant).
+// Stable fingerprints of the result-determining configuration fields: an
+// FNV-1a hash of the config's field walk (its `Fields`, DESIGN.md §8), which
+// leaves num_threads out, so a checkpoint taken at one thread count restores
+// at any other — results are thread-count invariant.
 uint64_t FingerprintConfig(const ExperimentConfig& config);
 uint64_t FingerprintConfig(const RealFlConfig& config);
 uint64_t FingerprintConfig(const VflConfig& config);

@@ -169,11 +169,24 @@ struct FaultConfig {
     return byzantine_mode != ByzantineMode::kNone && byzantine_fraction > 0.0 &&
            byzantine_scale > 0.0;
   }
+
+  // The fields in fingerprint order (DESIGN.md §8), which is the order they
+  // joined the fingerprint, not their declaration order.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.crash_prob, self.corrupt_prob, self.blackout_period_s, self.blackout_duration_s,
+       self.flaky_fraction, self.flaky_enter_prob, self.flaky_exit_prob, self.flaky_crash_prob,
+       self.overcommit, self.retry_cooldown_rounds, self.reject_norm_threshold, self.corrupt_scale,
+       self.byzantine_mode, self.byzantine_fraction, self.byzantine_scale, self.transport,
+       self.chunk_loss_prob, self.link_blackout_prob, self.transport_chunk_mb,
+       self.max_transfer_retries, self.resumable_uploads, self.byzantine_start_round,
+       self.duplicate_prob, self.replay_prob, self.reorder_prob, self.stampede_prob,
+       self.stampede_factor);
+  }
 };
 
 // Aborts the process with a descriptive message when `config` violates a
-// fault-layer invariant. Called from ValidateExperimentConfig, the server
-// core every horizontal engine derives from, and the VFL engine, so a
+// fault-layer invariant. Called from every engine's config validator, so a
 // misconfiguration fails at construction in every engine.
 void ValidateFaultConfig(const FaultConfig& config);
 

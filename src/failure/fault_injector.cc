@@ -39,14 +39,6 @@ FaultInjector::FaultInjector(const FaultConfig& config, uint64_t seed, size_t nu
     : config_(config),
       seed_(seed),
       enabled_(config.InjectionEnabled() || config.AttacksEnabled()) {
-  FLOATFL_CHECK_MSG(config.crash_prob >= 0.0 && config.crash_prob <= 1.0,
-                    "crash_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.corrupt_prob >= 0.0 && config.corrupt_prob <= 1.0,
-                    "corrupt_prob must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.flaky_fraction >= 0.0 && config.flaky_fraction <= 1.0,
-                    "flaky_fraction must be in [0, 1]");
-  FLOATFL_CHECK_MSG(config.byzantine_fraction >= 0.0 && config.byzantine_fraction <= 1.0,
-                    "byzantine_fraction must be in [0, 1]");
   if (enabled_) {
     chains_ = FlakyChains(seed_, num_clients,
                           {.eligibility_salt = kEligibilitySalt,

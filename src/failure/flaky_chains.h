@@ -53,7 +53,12 @@ class FlakyChains {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.rounds_advanced_, self.flaky_eligible_, self.flaky_, self.byzantine_);
+    // byzantine_ is empty when no attack is configured.
+    constexpr const char* kMismatch = "checkpoint flaky chain membership mismatch";
+    Io(a, self.rounds_advanced_);
+    IoFixed(a, self.flaky_eligible_, kMismatch);
+    IoFixed(a, self.flaky_, kMismatch);
+    IoFixed(a, self.byzantine_, kMismatch);
   }
 
   static bool Has(const std::vector<uint8_t>& set, size_t member) {

@@ -8,24 +8,32 @@
 #include "src/fl/cost_model.h"
 
 namespace floatfl {
+namespace {
 
-// The surrogate's participation target for async FL is the buffer size:
-// each aggregation folds in `async_buffer` updates.
-AsyncEngine::AsyncEngine(const ExperimentConfig& config, TuningPolicy* policy)
-    : SurrogateEngine(config, policy, config.async_buffer),
-      rng_(config.seed ^ 0xA5F1C3D2E4B60789ULL),
-      busy_(config.num_clients, false) {
+// `config` once the async engine's own rules pass it; the surrogate base
+// then validates the rest before it builds anything.
+const ExperimentConfig& AsyncValidated(const ExperimentConfig& config) {
   // FedBuff's per-client pacing has no round boundary an edge tier could
   // aggregate at; the async engine keeps star semantics and refuses an
   // enabled topology rather than silently ignoring it.
-  FLOATFL_CHECK_MSG(!config_.topology.enabled(),
+  FLOATFL_CHECK_MSG(!config.topology.enabled(),
                     "async engine does not support hierarchical topology");
   // Speculation hedges against a round deadline; async FL has none, so a
   // backup could never beat its primary to anything. Refuse rather than
   // silently ignore (partial-work salvage is supported).
-  FLOATFL_CHECK_MSG(!config_.salvage.speculation,
+  FLOATFL_CHECK_MSG(!config.salvage.speculation,
                     "async engine does not support speculative re-execution");
+  return config;
 }
+
+}  // namespace
+
+// The surrogate's participation target for async FL is the buffer size:
+// each aggregation folds in `async_buffer` updates.
+AsyncEngine::AsyncEngine(const ExperimentConfig& config, TuningPolicy* policy)
+    : SurrogateEngine(AsyncValidated(config), policy, config.async_buffer),
+      rng_(config.seed ^ 0xA5F1C3D2E4B60789ULL),
+      busy_(config.num_clients, false) {}
 
 void AsyncEngine::LaunchClients(const GlobalObservation& global) {
   // A network blackout cuts the server off entirely: no launches until the
@@ -256,7 +264,8 @@ void AsyncEngine::Fields(Self& self, Archive& a) {
   OutcomeBooksIo(self, a, /*edge_orphaned=*/false);
   Io(a, self.rng_);
   IoFixed(a, self.clients_, "checkpoint population size mismatch");
-  Io(a, self.busy_, self.in_flight_, self.buffer_, self.surrogate_, self.accountant_, self.tracker_,
+  IoFixed(a, self.busy_, "checkpoint population size mismatch");
+  Io(a, self.in_flight_, self.buffer_, self.surrogate_, self.accountant_, self.tracker_,
      self.injector_);
   PolicyIo(self, a, "checkpoint policy presence mismatch");
   Io(a, self.pending_byzantine_, self.agg_tracker_, self.transport_tracker_, self.guard_);

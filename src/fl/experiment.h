@@ -81,6 +81,17 @@ struct ExperimentConfig {
   // by the sync engine; the async engine has no round deadline and refuses
   // it at construction, like topology.
   SalvageConfig salvage;
+
+  // The fingerprinted fields (DESIGN.md §8). num_threads is left out:
+  // results do not depend on it, so an archive resumes at any thread count.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.num_clients, self.clients_per_round, self.rounds, self.epochs, self.batch_size,
+       self.deadline_s, self.dataset, self.model, self.alpha, self.interference, self.seed,
+       self.assume_no_dropouts, self.async_concurrency, self.async_buffer, self.faults,
+       self.aggregator, self.adaptive_deadline, self.guard, self.topology, self.admission,
+       self.salvage);
+  }
 };
 
 // Aborts the process with a descriptive message when `config` violates an

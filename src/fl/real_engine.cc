@@ -103,6 +103,12 @@ const RealFlConfig& Validated(const RealFlConfig& config) {
   // than silently ignore, like the async engine.
   FLOATFL_CHECK_MSG(!config.salvage.speculation,
                     "real engine does not support speculative re-execution");
+  ValidateFaultConfig(config.faults);
+  ValidateAggregatorConfig(config.aggregator);
+  ValidateGuardConfig(config.guard);
+  ValidateTopologyConfig(config.topology);
+  ValidateAdmissionConfig(config.admission);
+  ValidateSalvageConfig(config.salvage);
   return config;
 }
 
@@ -157,7 +163,7 @@ struct RealFlEngine::Slot : CohortSlot {
 
 RealFlEngine::RealFlEngine(const RealFlConfig& config)
     : ServerCore(Validated(config).seed, config.num_clients, config.num_threads, config.faults,
-                 config.guard, config.topology, config.admission, config.salvage, nullptr),
+                 config.guard, config.topology, config.admission, nullptr),
       config_(config),
       aggregator_(MakeAggregator(config.aggregator)),
       edge_aggregator_(MakeAggregator(config.topology.edge_aggregator)),
@@ -486,10 +492,10 @@ RealRoundStats RealFlEngine::RunRoundImpl(
     }
     if (s.partial_fraction < config_.salvage.min_progress) {
       ++stats.partials_below_min;
-      salvage_tracker_.RecordPartialBelowMin();
+      ++salvage_tracker_.partials_below_min;
     } else if (!s.valid) {
       ++stats.partials_rejected;
-      salvage_tracker_.RecordPartialRejected();
+      ++salvage_tracker_.partials_rejected;
     } else {
       partial_arrivals.push_back({.arrival = {.client_id = s.client_id,
                                               .round = round,
@@ -566,10 +572,10 @@ RealRoundStats RealFlEngine::RunRoundImpl(
         });
     // Each refusal records one count, and the round's tracker holds only
     // this burst so far.
-    stats.deduplicated = round_admission.Deduplicated();
-    stats.shed = round_admission.Shed();
-    stats.rate_limited = round_admission.RateLimited();
-    stats.replay_rejected = round_admission.ReplayRejected();
+    stats.deduplicated = round_admission.deduplicated;
+    stats.shed = round_admission.shed;
+    stats.rate_limited = round_admission.rate_limited;
+    stats.replay_rejected = round_admission.replay_rejected;
   }
   // Partial updates enter through the same admission gate as fresh uploads
   // (one burst, selection order) under the partial dedup namespace, with
@@ -590,7 +596,7 @@ RealRoundStats RealFlEngine::RunRoundImpl(
                        SampleWeight(p.arrival.client_id) * p.fraction *
                            partial_verdicts[n].weight});
   }
-  stats.peak_queue_depth = round_admission.PeakQueueDepth();
+  stats.peak_queue_depth = round_admission.peak_queue_depth;
   admission_tracker_.Merge(round_admission);
   // The round's participants are the accepted fresh uploads, and its means
   // are over them, in the order the server took them.
@@ -638,12 +644,12 @@ RealRoundStats RealFlEngine::RunRoundImpl(
   const double coverage = AggregateEdges(
       round, edge_decisions, static_cast<double>(DenseUpdateBytes()) / (1024.0 * 1024.0),
       edge_rule, updates);
-  stats.orphaned = topo_tracker_.OrphanedClients() - topo_before.OrphanedClients();
-  stats.reparented = topo_tracker_.ReparentedClients() - topo_before.ReparentedClients();
-  stats.partials_lost = topo_tracker_.PartialsLost() - topo_before.PartialsLost();
-  stats.tampered_partials = topo_tracker_.TamperedPartials() - topo_before.TamperedPartials();
+  stats.orphaned = topo_tracker_.orphaned_clients - topo_before.orphaned_clients;
+  stats.reparented = topo_tracker_.reparented_clients - topo_before.reparented_clients;
+  stats.partials_lost = topo_tracker_.partials_lost - topo_before.partials_lost;
+  stats.tampered_partials = topo_tracker_.tampered_partials - topo_before.tampered_partials;
   stats.tampered_rejections =
-      topo_tracker_.TamperedRejections() - topo_before.TamperedRejections();
+      topo_tracker_.tampered_rejections - topo_before.tampered_rejections;
 
   AggregatorStats agg_stats;
   if (!updates.empty()) {

@@ -82,6 +82,16 @@ struct RealFlConfig {
   // Speculative re-execution is refused: the engine has no wall clock, so
   // there is no deadline race for a backup to win.
   SalvageConfig salvage;
+
+  // The fingerprinted fields (DESIGN.md §8). num_threads is left out:
+  // results do not depend on it, so an archive resumes at any thread count.
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.num_clients, self.clients_per_round, self.num_classes, self.input_dim,
+       self.class_separation, self.alpha, self.hidden_dims, self.sgd, self.test_samples_per_class,
+       self.seed, self.faults, self.aggregator, self.guard, self.topology, self.admission,
+       self.salvage);
+  }
 };
 
 // Per-round measurements of the real pipeline.

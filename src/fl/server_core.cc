@@ -8,13 +8,8 @@ namespace floatfl {
 ServerCore::ServerCore(uint64_t seed, size_t num_clients, size_t num_threads,
                        const FaultConfig& faults, const GuardConfig& guard,
                        const TopologyConfig& topology, const AdmissionConfig& admission,
-                       const SalvageConfig& salvage, TuningPolicy* policy)
+                       TuningPolicy* policy)
     : policy_(policy) {
-  ValidateFaultConfig(faults);
-  ValidateGuardConfig(guard);
-  ValidateTopologyConfig(topology);
-  ValidateAdmissionConfig(admission);
-  ValidateSalvageConfig(salvage);
   const size_t threads = ResolveThreadCount(num_threads);
   if (threads > 1) {
     // The calling thread participates in every ParallelFor, so `threads`
@@ -118,7 +113,7 @@ std::vector<AdmissionController::Verdict> ServerCore::AdmitPartials(
       salvage_tracker_.RecordPartialSalvaged(partials[j].steps, partials[j].fraction,
                                              partials[j].acked_mb);
     } else {
-      salvage_tracker_.RecordPartialRejected();
+      ++salvage_tracker_.partials_rejected;
     }
   }
   return verdicts;
@@ -136,9 +131,9 @@ std::vector<EdgeFaultDecision> ServerCore::BeginRound(size_t round) {
   for (size_t edge = 0; edge < decisions.size(); ++edge) {
     decisions[edge] = edge_injector_.Decide(round, edge);
     if (decisions[edge].crash) {
-      topo_tracker_.RecordEdgeCrash();
+      ++topo_tracker_.edge_crashes;
     } else if (decisions[edge].blackout) {
-      topo_tracker_.RecordEdgeBlackout();
+      ++topo_tracker_.edge_blackouts;
     }
   }
   tree_.BeginRound(round, decisions);
@@ -167,9 +162,9 @@ bool ServerCore::Orphaned(size_t client_id) const {
 
 void ServerCore::BookTreeSlot(size_t client_id, bool orphaned) {
   if (orphaned) {
-    topo_tracker_.RecordOrphaned(1);
+    ++topo_tracker_.orphaned_clients;
   } else if (tree_.enabled() && tree_.Reparented(client_id)) {
-    topo_tracker_.RecordReparented(1);
+    ++topo_tracker_.reparented_clients;
   }
 }
 

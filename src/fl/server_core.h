@@ -47,7 +47,6 @@
 #include "src/metrics/topology_tracker.h"
 #include "src/metrics/transport_tracker.h"
 #include "src/net/transport.h"
-#include "src/salvage/salvage_config.h"
 #include "src/sim/thread_pool.h"
 #include "src/topology/aggregation_tree.h"
 #include "src/topology/topology_config.h"
@@ -73,11 +72,11 @@ class ServerCore {
   const TopologyTracker& topology_tracker() const { return topo_tracker_; }
 
  protected:
-  // Validates the sub-configs every horizontal engine's config carries and
-  // builds the books from them. `policy` may be null.
+  // Builds the books from the sub-configs every horizontal engine's config
+  // carries; the engine has validated them. `policy` may be null.
   ServerCore(uint64_t seed, size_t num_clients, size_t num_threads, const FaultConfig& faults,
              const GuardConfig& guard, const TopologyConfig& topology,
-             const AdmissionConfig& admission, const SalvageConfig& salvage, TuningPolicy* policy);
+             const AdmissionConfig& admission, TuningPolicy* policy);
 
   // Starts a server round: advances the client fault injector and the guard
   // to `round`, then the edge tier (DESIGN.md §13): draws each edge's fault
@@ -282,13 +281,13 @@ double ServerCore::AggregateEdges(size_t round, std::span<const EdgeFaultDecisio
     cohort[edge] = partials[edge].size();
     AggregatorStats stats;
     partials[edge] = rule.fold(std::move(partials[edge]), &stats);
-    topo_tracker_.RecordEdgeAggExclusions(stats.updates_clipped + stats.krum_rejections +
-                                          stats.updates_trimmed);
+    topo_tracker_.edge_agg_exclusions +=
+        stats.updates_clipped + stats.krum_rejections + stats.updates_trimmed;
     if (edge_injector_.enabled() && decisions[edge].byzantine) {
       for (Update& update : partials[edge]) {
         rule.tamper(update, edge);
       }
-      topo_tracker_.RecordTampered();
+      ++topo_tracker_.tampered_partials;
     }
     // Losing the partial loses every update behind it: the blast-radius
     // asymmetry that makes edge links worth hardening.
@@ -310,7 +309,7 @@ double ServerCore::AggregateEdges(size_t round, std::span<const EdgeFaultDecisio
       }
     }
     if (accepted < forwarded) {
-      topo_tracker_.RecordTamperedRejections(forwarded - accepted);
+      topo_tracker_.tampered_rejections += forwarded - accepted;
     }
     // A partial accepted whole covers its cohort; a partial validated item
     // by item covers the accepted share of it.

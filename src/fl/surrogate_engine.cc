@@ -9,7 +9,7 @@ namespace floatfl {
 namespace {
 
 // `config` once ValidateExperimentConfig has passed it, so the constructor
-// refuses a bad config before it builds the population from it.
+// refuses a bad config before it builds anything from it.
 const ExperimentConfig& Validated(const ExperimentConfig& config) {
   ValidateExperimentConfig(config);
   return config;
@@ -19,9 +19,9 @@ const ExperimentConfig& Validated(const ExperimentConfig& config) {
 
 SurrogateEngine::SurrogateEngine(const ExperimentConfig& config, TuningPolicy* policy,
                                  size_t participants)
-    : ServerCore(config.seed, config.num_clients, config.num_threads, config.faults, config.guard,
-                 config.topology, config.admission, config.salvage, policy),
-      config_(Validated(config)),
+    : ServerCore(Validated(config).seed, config.num_clients, config.num_threads, config.faults,
+                 config.guard, config.topology, config.admission, policy),
+      config_(config),
       clients_(BuildPopulation(GetDatasetSpec(config.dataset), config.num_clients, config.alpha,
                                config.interference, config.seed)),
       tracker_(config.num_clients) {
@@ -385,7 +385,7 @@ void SurrogateEngine::SalvagePartials(uint64_t now_round,
       continue;
     }
     if (o.salvage_fraction < config_.salvage.min_progress) {
-      salvage_tracker_.RecordPartialBelowMin();
+      ++salvage_tracker_.partials_below_min;
       continue;
     }
     candidates.push_back(p.outcome);
@@ -451,59 +451,60 @@ ExperimentResult SurrogateEngine::Snapshot() const {
   result.never_completed = tracker_.NeverCompleted();
   result.dropout_breakdown = dropout_breakdown_;
   result.rejected_updates = rejected_updates_;
-  result.byzantine_selected = agg_tracker_.TotalByzantineSelected();
-  result.krum_rejections = agg_tracker_.TotalKrumRejections();
-  result.updates_trimmed = agg_tracker_.TotalTrimmed();
-  result.transfer_attempts = transport_tracker_.TotalAttempts();
-  result.wire_mb = transport_tracker_.TotalWireMb();
-  result.retransmitted_mb = transport_tracker_.TotalRetransmittedMb();
-  result.salvaged_mb = transport_tracker_.TotalSalvagedMb();
-  result.transfer_backoff_s = transport_tracker_.TotalBackoffS();
+  const AggregationRoundRecord agg_totals = agg_tracker_.Totals();
+  result.byzantine_selected = agg_totals.byzantine_selected;
+  result.krum_rejections = agg_totals.krum_rejections;
+  result.updates_trimmed = agg_totals.updates_trimmed;
+  result.transfer_attempts = transport_tracker_.attempts;
+  result.wire_mb = transport_tracker_.wire_mb;
+  result.retransmitted_mb = transport_tracker_.retransmitted_mb;
+  result.salvaged_mb = transport_tracker_.salvaged_mb;
+  result.transfer_backoff_s = transport_tracker_.backoff_s;
   result.useful = accountant_.Useful();
   result.wasted = accountant_.Wasted();
   result.wall_clock_hours = now_s_ / 3600.0;
   result.per_technique = tracker_.PerTechnique();
   result.per_technique_dropouts = tracker_.DropoutsByTechnique();
-  result.guard_snapshots = guard_.tracker().Snapshots();
+  result.guard_snapshots = guard_.tracker().snapshots;
   result.watchdog_triggers = guard_.tracker().WatchdogTriggers();
-  result.rollbacks = guard_.tracker().Rollbacks();
-  result.quarantined_actions = guard_.tracker().MaskedActions();
-  result.quarantine_openings = guard_.tracker().QuarantineOpenings();
-  result.rejected_rewards = guard_.tracker().RejectedRewards();
-  result.safe_mode_rounds = guard_.tracker().SafeModeRounds();
-  result.edge_crashes = topo_tracker_.EdgeCrashes();
-  result.edge_blackouts = topo_tracker_.EdgeBlackouts();
-  result.reparented_clients = topo_tracker_.ReparentedClients();
-  result.orphaned_clients = topo_tracker_.OrphanedClients();
-  result.partials_forwarded = topo_tracker_.PartialsForwarded();
-  result.partials_lost = topo_tracker_.PartialsLost();
-  result.tampered_partials = topo_tracker_.TamperedPartials();
-  result.tampered_rejections = topo_tracker_.TamperedRejections();
-  result.late_partials = topo_tracker_.LatePartials();
-  result.tier1_wire_mb = topo_tracker_.Tier1WireMb();
-  result.tier1_retransmitted_mb = topo_tracker_.Tier1RetransmittedMb();
-  result.recovery_restarts = recovery_tracker_.Restarts();
-  result.recovery_archives_skipped = recovery_tracker_.ArchivesSkipped();
-  result.recovery_rounds_replayed = recovery_tracker_.RoundsReplayed();
-  result.recovery_checkpoints_written = recovery_tracker_.CheckpointsWritten();
-  result.recovery_checkpoints_failed = recovery_tracker_.CheckpointsFailed();
-  result.admission_admitted = admission_tracker_.Admitted();
-  result.admission_deduplicated = admission_tracker_.Deduplicated();
-  result.admission_shed = admission_tracker_.Shed();
-  result.admission_rate_limited = admission_tracker_.RateLimited();
-  result.admission_replay_rejected = admission_tracker_.ReplayRejected();
-  result.admission_peak_queue_depth = admission_tracker_.PeakQueueDepth();
+  result.rollbacks = guard_.tracker().rollbacks;
+  result.quarantined_actions = guard_.tracker().masked_actions;
+  result.quarantine_openings = guard_.tracker().quarantine_openings;
+  result.rejected_rewards = guard_.tracker().rejected_rewards;
+  result.safe_mode_rounds = guard_.tracker().safe_mode_rounds;
+  result.edge_crashes = topo_tracker_.edge_crashes;
+  result.edge_blackouts = topo_tracker_.edge_blackouts;
+  result.reparented_clients = topo_tracker_.reparented_clients;
+  result.orphaned_clients = topo_tracker_.orphaned_clients;
+  result.partials_forwarded = topo_tracker_.partials_forwarded;
+  result.partials_lost = topo_tracker_.partials_lost;
+  result.tampered_partials = topo_tracker_.tampered_partials;
+  result.tampered_rejections = topo_tracker_.tampered_rejections;
+  result.late_partials = topo_tracker_.late_partials;
+  result.tier1_wire_mb = topo_tracker_.tier1_wire_mb;
+  result.tier1_retransmitted_mb = topo_tracker_.tier1_retransmitted_mb;
+  result.recovery_restarts = recovery_tracker_.restarts;
+  result.recovery_archives_skipped = recovery_tracker_.archives_skipped;
+  result.recovery_rounds_replayed = recovery_tracker_.rounds_replayed;
+  result.recovery_checkpoints_written = recovery_tracker_.checkpoints_written;
+  result.recovery_checkpoints_failed = recovery_tracker_.checkpoints_failed;
+  result.admission_admitted = admission_tracker_.admitted;
+  result.admission_deduplicated = admission_tracker_.deduplicated;
+  result.admission_shed = admission_tracker_.shed;
+  result.admission_rate_limited = admission_tracker_.rate_limited;
+  result.admission_replay_rejected = admission_tracker_.replay_rejected;
+  result.admission_peak_queue_depth = admission_tracker_.peak_queue_depth;
   result.redundant_mb = redundant_mb_;
-  result.partials_salvaged = salvage_tracker_.PartialsSalvaged();
-  result.partials_below_min = salvage_tracker_.PartialsBelowMin();
-  result.partials_rejected = salvage_tracker_.PartialsRejected();
-  result.salvaged_steps = salvage_tracker_.SalvagedSteps();
-  result.salvaged_progress_mb = salvage_tracker_.SalvagedProgressMb();
-  result.backups_planned = salvage_tracker_.BackupsPlanned();
-  result.backups_won = salvage_tracker_.BackupsWon();
-  result.backups_redundant = salvage_tracker_.BackupsRedundant();
-  result.deadline_misses_averted = salvage_tracker_.DeadlineMissesAverted();
-  result.transfer_progress_mb = transport_tracker_.TotalProgressMb();
+  result.partials_salvaged = salvage_tracker_.partials_salvaged;
+  result.partials_below_min = salvage_tracker_.partials_below_min;
+  result.partials_rejected = salvage_tracker_.partials_rejected;
+  result.salvaged_steps = salvage_tracker_.salvaged_steps;
+  result.salvaged_progress_mb = salvage_tracker_.salvaged_progress_mb;
+  result.backups_planned = salvage_tracker_.backups_planned;
+  result.backups_won = salvage_tracker_.backups_won;
+  result.backups_redundant = salvage_tracker_.backups_redundant;
+  result.deadline_misses_averted = salvage_tracker_.deadline_misses_averted;
+  result.transfer_progress_mb = transport_tracker_.progress_mb;
   result.accuracy_history = accuracy_history_;
   result.per_client_selected = tracker_.selected();
   result.per_client_completed = tracker_.completed();

@@ -55,7 +55,7 @@ void SyncEngine::ApplyRootPatience(const std::vector<ClientRoundOutcome>& outcom
       if (elapsed[edge] <= root_patience) {
         in_time.push_back(edge);
       } else {
-        topo_tracker_.RecordLatePartial();
+        ++topo_tracker_.late_partials;
       }
     }
     arrived.swap(in_time);
@@ -69,7 +69,7 @@ void SyncEngine::ApplyRootPatience(const std::vector<ClientRoundOutcome>& outcom
     std::stable_sort(arrived.begin(), arrived.end(),
                      [&](size_t a, size_t b) { return elapsed[a] < elapsed[b]; });
     for (size_t j = keep; j < arrived.size(); ++j) {
-      topo_tracker_.RecordLatePartial();
+      ++topo_tracker_.late_partials;
     }
     arrived.resize(keep);
     std::sort(arrived.begin(), arrived.end());
@@ -107,7 +107,7 @@ void SyncEngine::RunRound(size_t round) {
   std::vector<size_t> backup_of(num_primaries, kPrimarySlot);
   if (config_.salvage.speculation) {
     const std::vector<BackupPlan> plans = scheduler_.Plan(round, selected, clients_);
-    salvage_tracker_.RecordBackupsPlanned(plans.size());
+    salvage_tracker_.backups_planned += plans.size();
     for (const BackupPlan& plan : plans) {
       backup_of.push_back(plan.primary_slot);
       selected.push_back(plan.backup_client_id);
@@ -182,25 +182,25 @@ void SyncEngine::RunRound(size_t round) {
       loser.completed = false;
       loser.reason = DropoutReason::kBackupRedundant;
       if (&loser == &primary) {
-        salvage_tracker_.RecordBackupWin();
+        ++salvage_tracker_.backups_won;
       } else {
-        salvage_tracker_.RecordBackupRedundant();
+        ++salvage_tracker_.backups_redundant;
       }
     } else if (backup.completed) {
       // The primary was interrupted and the backup delivered: the cohort
       // slot is covered.
       if (primary.reason == DropoutReason::kMissedDeadline) {
-        salvage_tracker_.RecordDeadlineMissAverted();
+        ++salvage_tracker_.deadline_misses_averted;
       }
       if (primary.reason != DropoutReason::kCorrupted) {
         primary.reason = DropoutReason::kBackupCovered;
       }
-      salvage_tracker_.RecordBackupWin();
+      ++salvage_tracker_.backups_won;
     } else {
       if (backup.reason == DropoutReason::kMissedDeadline) {
         backup.reason = DropoutReason::kBackupRedundant;
       }
-      salvage_tracker_.RecordBackupRedundant();
+      ++salvage_tracker_.backups_redundant;
     }
   }
 

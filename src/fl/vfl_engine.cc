@@ -57,17 +57,26 @@ void SplitModelIo(Archive& a, Bottoms& bottoms, Top& top) {
   layer_io(top);
 }
 
+// `config` once every field the engine builds from is in range, so the
+// constructor refuses a config it cannot run, naming the field, before it
+// builds anything.
+const VflConfig& Validated(const VflConfig& config) {
+  FLOATFL_CHECK_MSG(config.num_parties >= 2, "num_parties must be at least 2");
+  FLOATFL_CHECK_MSG(config.features_per_party > 0, "features_per_party must be positive");
+  // TrainEpoch steps through the data batch_size rows at a time.
+  FLOATFL_CHECK_MSG(config.batch_size > 0, "batch_size must be positive");
+  ValidateFaultConfig(config.faults);
+  ValidateGuardConfig(config.guard);
+  return config;
+}
+
 }  // namespace
 
 VflEngine::VflEngine(const VflConfig& config)
-    : config_(config),
+    : config_(Validated(config)),
       injector_(config.faults, config.seed, config.num_parties),
       transport_(config.faults, config.seed),
       rng_(config.seed) {
-  FLOATFL_CHECK(config.num_parties >= 2);
-  FLOATFL_CHECK(config.features_per_party > 0);
-  ValidateFaultConfig(config_.faults);
-  ValidateGuardConfig(config_.guard);
   guard_ = TrainingGuard(config_.guard);
 
   const size_t total_features = config.num_parties * config.features_per_party;

@@ -48,6 +48,13 @@ struct VflConfig {
   FaultConfig faults;
   // Self-healing guard (DESIGN.md §11). Default disabled = strict no-op.
   GuardConfig guard;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.num_parties, self.features_per_party, self.embedding_dim, self.num_classes,
+       self.train_samples, self.test_samples, self.class_separation, self.learning_rate,
+       self.batch_size, self.seed, self.faults, self.guard);
+  }
 };
 
 struct VflRoundStats {

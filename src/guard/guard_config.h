@@ -57,6 +57,14 @@ struct GuardConfig {
   double quarantine_failure_rate = 0.6;
   size_t quarantine_cooldown_rounds = 8;
   size_t quarantine_max_strikes = 4;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.enabled, self.collapse_threshold, self.patience, self.stall_epsilon,
+       self.snapshot_ring, self.snapshot_every, self.min_snapshot_coverage, self.safe_mode_rounds,
+       self.quarantine_min_trials, self.quarantine_failure_rate, self.quarantine_cooldown_rounds,
+       self.quarantine_max_strikes);
+  }
 };
 
 // Aborts with a descriptive message when `config` violates a guard

@@ -21,7 +21,7 @@ void TrainingGuard::BeginRound(size_t round) {
   }
   last_round_begun_ = round;
   if (InSafeMode(round)) {
-    tracker_.RecordSafeModeRound();
+    ++tracker_.safe_mode_rounds;
   }
 }
 
@@ -30,7 +30,7 @@ TechniqueKind TrainingGuard::Filter(TechniqueKind decision, size_t round) {
     return decision;
   }
   if (InSafeMode(round) || quarantine_.Blocked(decision, round)) {
-    tracker_.RecordMaskedAction();
+    ++tracker_.masked_actions;
     return TechniqueKind::kNone;
   }
   return decision;
@@ -42,7 +42,7 @@ void TrainingGuard::Observe(TechniqueKind technique, bool completed, DropoutReas
     return;
   }
   if (quarantine_.Observe(technique, completed, reason, round)) {
-    tracker_.RecordQuarantineOpened();
+    ++tracker_.quarantine_openings;
   }
 }
 
@@ -51,7 +51,7 @@ double TrainingGuard::SanitizeReward(double credit) {
     return credit;
   }
   if (!std::isfinite(credit)) {
-    tracker_.RecordRejectedReward();
+    ++tracker_.rejected_rewards;
     return 0.0;
   }
   return credit;
@@ -75,19 +75,19 @@ bool TrainingGuard::EndRound(size_t round, const HealthSignal& health, const Sav
       save(w);
       ring_.Push(round, health.metric, w.buffer());
       next_snapshot_round_ = round + config_.snapshot_every;
-      tracker_.RecordSnapshot();
+      ++tracker_.snapshots;
     }
     return false;
   }
   switch (verdict) {
     case WatchdogVerdict::kNonFinite:
-      tracker_.RecordNonFiniteTrigger();
+      ++tracker_.nonfinite_triggers;
       break;
     case WatchdogVerdict::kCollapse:
-      tracker_.RecordCollapseTrigger();
+      ++tracker_.collapse_triggers;
       break;
     case WatchdogVerdict::kStall:
-      tracker_.RecordStallTrigger();
+      ++tracker_.stall_triggers;
       break;
     case WatchdogVerdict::kHealthy:
       break;
@@ -108,7 +108,7 @@ bool TrainingGuard::EndRound(size_t round, const HealthSignal& health, const Sav
   CheckpointReader r(entry.blob);
   restore(r);
   watchdog_.ResetAfterRollback(entry.metric);
-  tracker_.RecordRollback();
+  ++tracker_.rollbacks;
   return true;
 }
 

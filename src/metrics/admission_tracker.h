@@ -6,61 +6,39 @@
 #ifndef SRC_METRICS_ADMISSION_TRACKER_H_
 #define SRC_METRICS_ADMISSION_TRACKER_H_
 
+#include <algorithm>
 #include <cstddef>
 
 #include "src/failure/checkpoint_io.h"
 
 namespace floatfl {
 
-class AdmissionTracker {
- public:
-  void RecordAdmitted(size_t n) { admitted_ += n; }
-  void RecordDeduplicated() { ++deduplicated_; }
-  void RecordShed() { ++shed_; }
-  void RecordRateLimited() { ++rate_limited_; }
-  void RecordReplayRejected() { ++replay_rejected_; }
-  void RecordQueueDepth(size_t depth) {
-    if (depth > peak_queue_depth_) {
-      peak_queue_depth_ = depth;
-    }
-  }
+struct AdmissionTracker {
+  size_t admitted = 0;
+  size_t deduplicated = 0;
+  size_t shed = 0;
+  size_t rate_limited = 0;
+  size_t replay_rejected = 0;
+  size_t peak_queue_depth = 0;
+
+  void RecordQueueDepth(size_t depth) { peak_queue_depth = std::max(peak_queue_depth, depth); }
   // Folds `other`'s counts into this tracker (one round's bursts into the
   // run's totals); the peak stays the deeper of the two.
   void Merge(const AdmissionTracker& other) {
-    admitted_ += other.admitted_;
-    deduplicated_ += other.deduplicated_;
-    shed_ += other.shed_;
-    rate_limited_ += other.rate_limited_;
-    replay_rejected_ += other.replay_rejected_;
-    RecordQueueDepth(other.peak_queue_depth_);
+    admitted += other.admitted;
+    deduplicated += other.deduplicated;
+    shed += other.shed;
+    rate_limited += other.rate_limited;
+    replay_rejected += other.replay_rejected;
+    RecordQueueDepth(other.peak_queue_depth);
   }
+  size_t TotalRejected() const { return deduplicated + shed + rate_limited + replay_rejected; }
 
-  size_t Admitted() const { return admitted_; }
-  size_t Deduplicated() const { return deduplicated_; }
-  size_t Shed() const { return shed_; }
-  size_t RateLimited() const { return rate_limited_; }
-  size_t ReplayRejected() const { return replay_rejected_; }
-  size_t PeakQueueDepth() const { return peak_queue_depth_; }
-  size_t TotalRejected() const {
-    return deduplicated_ + shed_ + rate_limited_ + replay_rejected_;
-  }
-
-  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
-  void LoadState(CheckpointReader& r) { Fields(*this, r); }
-
- private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.admitted_, self.deduplicated_, self.shed_, self.rate_limited_, self.replay_rejected_,
-       self.peak_queue_depth_);
+    Io(a, self.admitted, self.deduplicated, self.shed, self.rate_limited, self.replay_rejected,
+       self.peak_queue_depth);
   }
-
-  size_t admitted_ = 0;
-  size_t deduplicated_ = 0;
-  size_t shed_ = 0;
-  size_t rate_limited_ = 0;
-  size_t replay_rejected_ = 0;
-  size_t peak_queue_depth_ = 0;
 };
 
 }  // namespace floatfl

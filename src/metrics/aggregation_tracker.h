@@ -26,26 +26,31 @@ struct AggregationRoundRecord {
   }
 };
 
-class AggregationTracker {
- public:
-  // Records one round. Call from sequential bookkeeping code only (not
-  // thread-safe; the engines record after the per-round fan-out has joined).
-  void Record(size_t byzantine_selected, const AggregatorStats& round_stats);
+// Recorded from sequential bookkeeping code only (not thread-safe; the
+// engines record after the per-round fan-out has joined).
+struct AggregationTracker {
+  std::vector<AggregationRoundRecord> history;
 
-  size_t rounds() const { return history_.size(); }
-  const std::vector<AggregationRoundRecord>& history() const { return history_; }
+  void Record(size_t byzantine_selected, const AggregatorStats& round_stats) {
+    history.push_back({byzantine_selected, round_stats.updates_clipped,
+                       round_stats.krum_rejections, round_stats.updates_trimmed});
+  }
+  // Every round's ledger summed.
+  AggregationRoundRecord Totals() const {
+    AggregationRoundRecord total;
+    for (const AggregationRoundRecord& r : history) {
+      total.byzantine_selected += r.byzantine_selected;
+      total.updates_clipped += r.updates_clipped;
+      total.krum_rejections += r.krum_rejections;
+      total.updates_trimmed += r.updates_trimmed;
+    }
+    return total;
+  }
 
-  size_t TotalByzantineSelected() const;
-  size_t TotalClipped() const;
-  size_t TotalKrumRejections() const;
-  size_t TotalTrimmed() const;
-
-  // Checkpoint/resume.
-  void SaveState(CheckpointWriter& w) const { Io(w, history_); }
-  void LoadState(CheckpointReader& r) { Io(r, history_); }
-
- private:
-  std::vector<AggregationRoundRecord> history_;
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.history);
+  }
 };
 
 }  // namespace floatfl

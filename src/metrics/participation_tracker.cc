@@ -7,10 +7,6 @@ namespace floatfl {
 ParticipationTracker::ParticipationTracker(size_t num_clients)
     : selected_(num_clients, 0), completed_(num_clients, 0) {}
 
-void ParticipationTracker::Record(size_t client_id, TechniqueKind technique, bool completed) {
-  Record(client_id, technique, completed, static_cast<DropoutReason>(0));
-}
-
 void ParticipationTracker::Record(size_t client_id, TechniqueKind technique, bool completed,
                                   DropoutReason reason) {
   FLOATFL_CHECK(client_id < selected_.size());
@@ -28,25 +24,6 @@ void ParticipationTracker::Record(size_t client_id, TechniqueKind technique, boo
       ++dropouts_by_technique_[technique][static_cast<uint32_t>(reason)];
     }
   }
-}
-
-size_t ParticipationTracker::DropoutCount(TechniqueKind technique, DropoutReason reason) const {
-  const auto it = dropouts_by_technique_.find(technique);
-  if (it == dropouts_by_technique_.end()) {
-    return 0;
-  }
-  const auto jt = it->second.find(static_cast<uint32_t>(reason));
-  return jt == it->second.end() ? 0 : jt->second;
-}
-
-size_t ParticipationTracker::SelectedCount(size_t client_id) const {
-  FLOATFL_CHECK(client_id < selected_.size());
-  return selected_[client_id];
-}
-
-size_t ParticipationTracker::CompletedCount(size_t client_id) const {
-  FLOATFL_CHECK(client_id < completed_.size());
-  return completed_[client_id];
 }
 
 size_t ParticipationTracker::TotalSelected() const {

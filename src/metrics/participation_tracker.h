@@ -27,15 +27,13 @@ class ParticipationTracker {
   // are order-insensitive, so concurrent recording stays deterministic. The
   // read accessors below must not race with in-flight Record calls — the
   // engines only read after the per-round fan-out has joined.
-  void Record(size_t client_id, TechniqueKind technique, bool completed);
-  // Attributing overload: a failed round additionally counts under
-  // (technique, reason), feeding the guard's quarantine heuristic
-  // (DESIGN.md §11) and the per_technique_dropouts result field. The 3-arg
-  // overload records no attribution (reason unknown).
+  //
+  // A failed round also counts under (technique, reason), feeding the
+  // guard's quarantine heuristic (DESIGN.md §11) and the
+  // per_technique_dropouts result field; DropoutReason::kNone records no
+  // attribution (reason unknown).
   void Record(size_t client_id, TechniqueKind technique, bool completed, DropoutReason reason);
 
-  size_t SelectedCount(size_t client_id) const;
-  size_t CompletedCount(size_t client_id) const;
   size_t TotalSelected() const;
   size_t TotalCompleted() const;
   size_t TotalDropouts() const { return TotalSelected() - TotalCompleted(); }
@@ -61,7 +59,6 @@ class ParticipationTracker {
   const std::map<TechniqueKind, ReasonCounts>& DropoutsByTechnique() const {
     return dropouts_by_technique_;
   }
-  size_t DropoutCount(TechniqueKind technique, DropoutReason reason) const;
 
   const std::vector<size_t>& selected() const { return selected_; }
   const std::vector<size_t>& completed() const { return completed_; }
@@ -73,7 +70,9 @@ class ParticipationTracker {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.selected_, self.completed_, self.per_technique_, self.dropouts_by_technique_);
+    IoFixed(a, self.selected_, "checkpoint participation population mismatch");
+    IoFixed(a, self.completed_, "checkpoint participation population mismatch");
+    Io(a, self.per_technique_, self.dropouts_by_technique_);
   }
 
   std::mutex mu_;  // serializes Record

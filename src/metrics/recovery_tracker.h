@@ -18,52 +18,31 @@
 
 namespace floatfl {
 
-class RecoveryTracker {
- public:
-  // A process life that restored engine state from the ring (recorded after
-  // the restore, so it persists with the recovered state from then on).
-  void RecordRestart() { ++restarts_; }
+struct RecoveryTracker {
+  // Process lives that restored engine state from the ring (counted after
+  // the restore, so each persists with the recovered state from then on).
+  size_t restarts = 0;
   // Ring archives the recovery scan refused (torn, bit-flipped, truncated,
   // foreign config) before finding a good one — or before giving up.
-  void RecordArchivesSkipped(size_t archives) { archives_skipped_ += archives; }
+  size_t archives_skipped = 0;
   // Rounds a previous life had provably completed (newest round number named
-  // in the ring, archives and torn temps alike) that the restored state is
-  // behind on and this life must re-run.
-  void RecordRoundsReplayed(size_t rounds) { rounds_replayed_ += rounds; }
-  void RecordCheckpointWritten() { ++checkpoints_written_; }
-  // Save returned false (unwritable directory, disk full, torn write): the
-  // run continues on the previous archive, one cadence more exposed.
-  void RecordCheckpointFailed() { ++checkpoints_failed_; }
+  // in the ring, archives and torn temps alike) that the restored state was
+  // behind on and a later life re-ran.
+  size_t rounds_replayed = 0;
+  size_t checkpoints_written = 0;
+  // Saves that returned false (unwritable directory, disk full, torn write):
+  // the run continued on the previous archive, one cadence more exposed.
+  size_t checkpoints_failed = 0;
   // Archives deleted by the ring's retention GC.
-  void RecordCheckpointsCollected(size_t archives) { checkpoints_collected_ += archives; }
+  size_t checkpoints_collected = 0;
   // Leftover "*.tmp" files from killed writers swept on recovery.
-  void RecordTempsSwept(size_t temps) { temps_swept_ += temps; }
+  size_t temps_swept = 0;
 
-  size_t Restarts() const { return restarts_; }
-  size_t ArchivesSkipped() const { return archives_skipped_; }
-  size_t RoundsReplayed() const { return rounds_replayed_; }
-  size_t CheckpointsWritten() const { return checkpoints_written_; }
-  size_t CheckpointsFailed() const { return checkpoints_failed_; }
-  size_t CheckpointsCollected() const { return checkpoints_collected_; }
-  size_t TempsSwept() const { return temps_swept_; }
-
-  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
-  void LoadState(CheckpointReader& r) { Fields(*this, r); }
-
- private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.restarts_, self.archives_skipped_, self.rounds_replayed_, self.checkpoints_written_,
-       self.checkpoints_failed_, self.checkpoints_collected_, self.temps_swept_);
+    Io(a, self.restarts, self.archives_skipped, self.rounds_replayed, self.checkpoints_written,
+       self.checkpoints_failed, self.checkpoints_collected, self.temps_swept);
   }
-
-  size_t restarts_ = 0;
-  size_t archives_skipped_ = 0;
-  size_t rounds_replayed_ = 0;
-  size_t checkpoints_written_ = 0;
-  size_t checkpoints_failed_ = 0;
-  size_t checkpoints_collected_ = 0;
-  size_t temps_swept_ = 0;
 };
 
 }  // namespace floatfl

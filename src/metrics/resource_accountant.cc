@@ -20,10 +20,4 @@ void ResourceAccountant::Record(double train_time_s, double comm_time_s, double 
   ++records_;
 }
 
-ResourceTotals ResourceAccountant::Total() const {
-  ResourceTotals t = useful_;
-  t += wasted_;
-  return t;
-}
-
 }  // namespace floatfl

@@ -44,7 +44,6 @@ class ResourceAccountant {
 
   const ResourceTotals& Useful() const { return useful_; }
   const ResourceTotals& Wasted() const { return wasted_; }
-  ResourceTotals Total() const;
 
   size_t RecordedRounds() const { return records_; }
 

@@ -16,65 +16,42 @@
 
 namespace floatfl {
 
-class SalvageTracker {
- public:
+struct SalvageTracker {
+  size_t partials_salvaged = 0;
+  // Interrupted clients whose progress fell below salvage.min_progress.
+  size_t partials_below_min = 0;
+  // Qualifying partials the server refused (admission gate or validation).
+  size_t partials_rejected = 0;
+  uint64_t salvaged_steps = 0;
+  double salvaged_fraction_sum = 0.0;
+  double salvaged_progress_mb = 0.0;
+  size_t backups_planned = 0;
+  // Backups whose completion covered an interrupted (or slower) primary.
+  size_t backups_won = 0;
+  // Backups (or out-raced primaries) charged as redundant work.
+  size_t backups_redundant = 0;
+  // Primaries that would have been missed-deadline dropouts but for their
+  // backups — the figure speculation exists to cut.
+  size_t deadline_misses_averted = 0;
+
   // One interrupted client whose partial was accepted into the aggregate.
   // `steps` is the completed-local-steps metadata, `fraction` the completed
   // work fraction in [0, 1], `progress_mb` the unique acked payload bytes a
   // transfer interruption preserved (0 for training interruptions).
   void RecordPartialSalvaged(uint64_t steps, double fraction, double progress_mb) {
-    ++partials_salvaged_;
-    salvaged_steps_ += steps;
-    salvaged_fraction_sum_ += fraction;
-    salvaged_progress_mb_ += progress_mb;
+    ++partials_salvaged;
+    salvaged_steps += steps;
+    salvaged_fraction_sum += fraction;
+    salvaged_progress_mb += progress_mb;
   }
-  // An interrupted client whose progress fell below salvage.min_progress.
-  void RecordPartialBelowMin() { ++partials_below_min_; }
-  // A qualifying partial the server refused (admission gate or validation).
-  void RecordPartialRejected() { ++partials_rejected_; }
 
-  void RecordBackupsPlanned(size_t n) { backups_planned_ += n; }
-  // A backup whose completion covered an interrupted (or slower) primary.
-  void RecordBackupWin() { ++backups_won_; }
-  // A backup (or out-raced primary) charged as redundant work.
-  void RecordBackupRedundant() { ++backups_redundant_; }
-  // A primary that would have been a missed-deadline dropout but for its
-  // backup — the figure speculation exists to cut.
-  void RecordDeadlineMissAverted() { ++deadline_misses_averted_; }
-
-  size_t PartialsSalvaged() const { return partials_salvaged_; }
-  size_t PartialsBelowMin() const { return partials_below_min_; }
-  size_t PartialsRejected() const { return partials_rejected_; }
-  uint64_t SalvagedSteps() const { return salvaged_steps_; }
-  double SalvagedFractionSum() const { return salvaged_fraction_sum_; }
-  double SalvagedProgressMb() const { return salvaged_progress_mb_; }
-  size_t BackupsPlanned() const { return backups_planned_; }
-  size_t BackupsWon() const { return backups_won_; }
-  size_t BackupsRedundant() const { return backups_redundant_; }
-  size_t DeadlineMissesAverted() const { return deadline_misses_averted_; }
-
-  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
-  void LoadState(CheckpointReader& r) { Fields(*this, r); }
-
- private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.partials_salvaged_, self.partials_below_min_, self.partials_rejected_,
-       self.salvaged_steps_, self.salvaged_fraction_sum_, self.salvaged_progress_mb_,
-       self.backups_planned_, self.backups_won_, self.backups_redundant_,
-       self.deadline_misses_averted_);
+    Io(a, self.partials_salvaged, self.partials_below_min, self.partials_rejected,
+       self.salvaged_steps, self.salvaged_fraction_sum, self.salvaged_progress_mb,
+       self.backups_planned, self.backups_won, self.backups_redundant,
+       self.deadline_misses_averted);
   }
-
-  size_t partials_salvaged_ = 0;
-  size_t partials_below_min_ = 0;
-  size_t partials_rejected_ = 0;
-  uint64_t salvaged_steps_ = 0;
-  double salvaged_fraction_sum_ = 0.0;
-  double salvaged_progress_mb_ = 0.0;
-  size_t backups_planned_ = 0;
-  size_t backups_won_ = 0;
-  size_t backups_redundant_ = 0;
-  size_t deadline_misses_averted_ = 0;
 };
 
 }  // namespace floatfl

@@ -11,48 +11,46 @@
 
 namespace floatfl {
 
-class TransportTracker {
- public:
-  // Records one finished transfer (download or upload leg). `wire_mb` is the
-  // total bytes the transfer put on the wire (payload + retransmissions) —
-  // the run's bytes-moved total.
-  // `salvaged_mb` is the unique acked bytes resumable retries carried
-  // forward (never re-counted per attempt); `progress_mb` is the unique
-  // payload bytes acknowledged overall — on a timed-out transfer, the
+struct TransportTracker {
+  size_t transfers = 0;
+  size_t attempts = 0;
+  size_t timeouts = 0;
+  // Total bytes put on the wire (payload + retransmissions): the run's
+  // bytes-moved total.
+  double wire_mb = 0.0;
+  double retransmitted_mb = 0.0;
+  // Unique acked bytes resumable retries carried forward (never re-counted
+  // per attempt).
+  double salvaged_mb = 0.0;
+  // Unique payload bytes acknowledged overall: on a timed-out transfer, the
   // salvageable partial progress the graceful-degradation layer can turn
-  // into a partial update (DESIGN.md §16). Call from sequential bookkeeping
-  // code only (not thread-safe; the engines record after the per-round
-  // fan-out has joined).
-  void Record(size_t attempts, double wire_mb, double retransmitted_mb, double salvaged_mb,
-              double progress_mb, double backoff_s, bool timed_out);
+  // into a partial update (DESIGN.md §16).
+  double progress_mb = 0.0;
+  double backoff_s = 0.0;
 
-  size_t TotalTransfers() const { return transfers_; }
-  size_t TotalAttempts() const { return attempts_; }
-  size_t TotalTimeouts() const { return timeouts_; }
-  double TotalWireMb() const { return wire_mb_; }
-  double TotalRetransmittedMb() const { return retransmitted_mb_; }
-  double TotalSalvagedMb() const { return salvaged_mb_; }
-  double TotalProgressMb() const { return progress_mb_; }
-  double TotalBackoffS() const { return backoff_s_; }
-
-  void SaveState(CheckpointWriter& w) const { Fields(*this, w); }
-  void LoadState(CheckpointReader& r) { Fields(*this, r); }
-
- private:
-  template <typename Self, typename Archive>
-  static void Fields(Self& self, Archive& a) {
-    Io(a, self.transfers_, self.attempts_, self.timeouts_, self.wire_mb_, self.retransmitted_mb_,
-       self.salvaged_mb_, self.progress_mb_, self.backoff_s_);
+  // Records one finished transfer (download or upload leg). Call from
+  // sequential bookkeeping code only (not thread-safe; the engines record
+  // after the per-round fan-out has joined).
+  void Record(size_t transfer_attempts, double transfer_wire_mb, double transfer_retransmitted_mb,
+              double transfer_salvaged_mb, double transfer_progress_mb, double transfer_backoff_s,
+              bool timed_out) {
+    ++transfers;
+    attempts += transfer_attempts;
+    if (timed_out) {
+      ++timeouts;
+    }
+    wire_mb += transfer_wire_mb;
+    retransmitted_mb += transfer_retransmitted_mb;
+    salvaged_mb += transfer_salvaged_mb;
+    progress_mb += transfer_progress_mb;
+    backoff_s += transfer_backoff_s;
   }
 
-  size_t transfers_ = 0;
-  size_t attempts_ = 0;
-  size_t timeouts_ = 0;
-  double wire_mb_ = 0.0;
-  double retransmitted_mb_ = 0.0;
-  double salvaged_mb_ = 0.0;
-  double progress_mb_ = 0.0;
-  double backoff_s_ = 0.0;
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.transfers, self.attempts, self.timeouts, self.wire_mb, self.retransmitted_mb,
+       self.salvaged_mb, self.progress_mb, self.backoff_s);
+  }
 };
 
 }  // namespace floatfl

@@ -32,6 +32,11 @@ struct AdaptiveDeadlineConfig {
   // Deadline = headroom x the population-median round-time estimate; 2.5
   // matches AutoDeadlineSeconds' static headroom.
   double headroom = 2.5;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.enabled, self.min_factor, self.max_factor, self.headroom);
+  }
 };
 
 class AdaptiveDeadlineController {
@@ -63,7 +68,11 @@ class AdaptiveDeadlineController {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.base_deadline_s_, self.round_time_ewma_, self.throughput_ewma_, self.seen_);
+    constexpr const char* kMismatch = "checkpoint deadline controller population mismatch";
+    Io(a, self.base_deadline_s_);
+    IoFixed(a, self.round_time_ewma_, kMismatch);
+    IoFixed(a, self.throughput_ewma_, kMismatch);
+    IoFixed(a, self.seen_, kMismatch);
   }
 
   AdaptiveDeadlineConfig config_;

@@ -25,6 +25,11 @@ struct SgdConfig {
   // §16): the same shuffled batch sequence is consumed, just cut short, so
   // the first max_steps batches are bit-identical to an uninterrupted run.
   size_t max_steps = 0;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.learning_rate, self.batch_size, self.epochs, self.frozen_layers, self.max_steps);
+  }
 };
 
 struct TrainResult {

@@ -86,11 +86,11 @@ size_t RunSupervisor<Engine>::Recover() {
   // recorded now is itself durable from the next checkpoint on.
   RecoveryTracker& tracker = engine_.recovery_tracker();
   if (restored) {
-    tracker.RecordRestart();
+    ++tracker.restarts;
   }
-  tracker.RecordArchivesSkipped(skipped);
-  tracker.RecordRoundsReplayed(report_.rounds_replayed);
-  tracker.RecordTempsSwept(temps);
+  tracker.archives_skipped += skipped;
+  tracker.rounds_replayed += report_.rounds_replayed;
+  tracker.temps_swept += temps;
   return RoundsDone(engine_);
 }
 
@@ -112,15 +112,15 @@ bool RunSupervisor<Engine>::SaveRingCheckpoint(size_t rounds_done) {
   }
   RecoveryTracker& tracker = engine_.recovery_tracker();
   if (saved) {
-    tracker.RecordCheckpointWritten();
+    ++tracker.checkpoints_written;
     ++report_.checkpoints_written;
     const size_t collected = ring_.Collect();
-    tracker.RecordCheckpointsCollected(collected);
+    tracker.checkpoints_collected += collected;
     report_.checkpoints_collected += collected;
   } else {
     // Disk fault (unwritable dir, ENOSPC, short write): the run limps on
     // with the previous archive one cadence staler — never crashes.
-    tracker.RecordCheckpointFailed();
+    ++tracker.checkpoints_failed;
     ++report_.checkpoints_failed;
   }
   return true;

@@ -50,6 +50,12 @@ struct SalvageConfig {
 
   // True when any part of the layer is armed.
   bool active() const { return enabled || speculation; }
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.enabled, self.min_progress, self.speculation, self.speculation_margin,
+       self.max_backup_fraction);
+  }
 };
 
 // Aborts with a descriptive message on an invalid config; called by the

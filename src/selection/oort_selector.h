@@ -49,8 +49,13 @@ class OortSelector final : public Selector {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.rng_, self.utility_, self.explored_, self.failures_, self.net_factor_,
-       self.pacer_fraction_, self.completion_ewma_);
+    constexpr const char* kMismatch = "checkpoint Oort population mismatch";
+    Io(a, self.rng_);
+    IoFixed(a, self.utility_, kMismatch);
+    IoFixed(a, self.explored_, kMismatch);
+    IoFixed(a, self.failures_, kMismatch);
+    IoFixed(a, self.net_factor_, kMismatch);
+    Io(a, self.pacer_fraction_, self.completion_ewma_);
   }
 
   Rng rng_;

@@ -39,8 +39,14 @@ class ReflSelector final : public Selector {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.rng_, self.predicted_window_s_, self.estimated_duration_s_, self.last_participated_,
-       self.seen_, self.net_factor_, self.last_deadline_s_);
+    constexpr const char* kMismatch = "checkpoint REFL population mismatch";
+    Io(a, self.rng_);
+    IoFixed(a, self.predicted_window_s_, kMismatch);
+    IoFixed(a, self.estimated_duration_s_, kMismatch);
+    IoFixed(a, self.last_participated_, kMismatch);
+    IoFixed(a, self.seen_, kMismatch);
+    IoFixed(a, self.net_factor_, kMismatch);
+    Io(a, self.last_deadline_s_);
   }
 
   Rng rng_;

@@ -70,7 +70,10 @@ class AggregationTree {
  private:
   template <typename Self, typename Archive>
   static void Fields(Self& self, Archive& a) {
-    Io(a, self.cooldown_until_, self.up_, self.foster_);
+    constexpr const char* kMismatch = "checkpoint aggregation tree edge count mismatch";
+    IoFixed(a, self.cooldown_until_, kMismatch);
+    IoFixed(a, self.up_, kMismatch);
+    IoFixed(a, self.foster_, kMismatch);
   }
 
   TopologyConfig config_;

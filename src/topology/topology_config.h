@@ -122,6 +122,16 @@ struct TopologyConfig {
   // Salt decorrelating the inter-tier transport streams from the client-tier
   // transport, which keys the same (round, index) coordinate space.
   static constexpr uint64_t kEdgeLinkSeedSalt = 0x1F83D9ABFB41BD6BULL;
+
+  template <typename Self, typename Archive>
+  static void Fields(Self& self, Archive& a) {
+    Io(a, self.num_edges, self.failover, self.edge_retry_cooldown_rounds, self.edge_overcommit,
+       self.edge_crash_prob, self.edge_blackout_prob, self.edge_flaky_fraction,
+       self.edge_flaky_enter_prob, self.edge_flaky_exit_prob, self.edge_flaky_crash_prob,
+       self.edge_byzantine_mode, self.edge_byzantine_fraction, self.edge_byzantine_scale,
+       self.edge_link_loss_prob, self.edge_link_blackout_prob, self.edge_chunk_mb,
+       self.edge_max_retries, self.edge_aggregator, self.edge_adaptive_deadline);
+  }
 };
 
 // Aborts with a descriptive message when `config` violates a topology

@@ -43,9 +43,9 @@ TEST(AdmissionControllerTest, DisabledConfigAdmitsEverything) {
   for (const Verdict& verdict : gate.Admit(5, burst, &tracker)) {
     EXPECT_TRUE(verdict.admitted);
   }
-  EXPECT_EQ(tracker.Admitted(), 0u);
+  EXPECT_EQ(tracker.admitted, 0u);
   EXPECT_EQ(tracker.TotalRejected(), 0u);
-  EXPECT_EQ(tracker.PeakQueueDepth(), 0u);
+  EXPECT_EQ(tracker.peak_queue_depth, 0u);
 }
 
 TEST(AdmissionControllerTest, DedupFoldsRedeliveriesOfTheSameKey) {
@@ -63,8 +63,8 @@ TEST(AdmissionControllerTest, DedupFoldsRedeliveriesOfTheSameKey) {
   EXPECT_FALSE(v[1].admitted);
   EXPECT_EQ(v[1].reason, DropoutReason::kDuplicate);
   EXPECT_TRUE(v[2].admitted);
-  EXPECT_EQ(tracker.Deduplicated(), 1u);
-  EXPECT_EQ(tracker.Admitted(), 2u);
+  EXPECT_EQ(tracker.deduplicated, 1u);
+  EXPECT_EQ(tracker.admitted, 2u);
 
   // The key is remembered across bursts within the window...
   EXPECT_FALSE(gate.Admit(5, {Make(7, 3, 0)}, &tracker)[0].admitted);
@@ -89,7 +89,7 @@ TEST(AdmissionControllerTest, ReplayGateRejectsUploadsOlderThanMaxAge) {
   EXPECT_EQ(v[2].reason, DropoutReason::kReplayed);
   EXPECT_FALSE(v[3].admitted);  // ancient
   EXPECT_EQ(v[3].reason, DropoutReason::kReplayed);
-  EXPECT_EQ(tracker.ReplayRejected(), 2u);
+  EXPECT_EQ(tracker.replay_rejected, 2u);
 }
 
 TEST(AdmissionControllerTest, TokenBucketDepletesAndRefills) {
@@ -106,7 +106,7 @@ TEST(AdmissionControllerTest, TokenBucketDepletesAndRefills) {
   EXPECT_TRUE(v0[1].admitted);
   EXPECT_FALSE(v0[2].admitted);
   EXPECT_EQ(v0[2].reason, DropoutReason::kRateLimited);
-  EXPECT_EQ(tracker.RateLimited(), 1u);
+  EXPECT_EQ(tracker.rate_limited, 1u);
 
   // One round later the refill grants one token: one in, one out.
   const std::vector<Verdict> v1 = gate.Admit(5, {Make(0, 5, 0), Make(0, 5, 1)}, &tracker);
@@ -151,8 +151,8 @@ TEST(AdmissionControllerTest, DropNewestShedsTheIncomingArrival) {
   EXPECT_TRUE(v[1].admitted);
   EXPECT_FALSE(v[2].admitted);
   EXPECT_EQ(v[2].reason, DropoutReason::kShed);
-  EXPECT_EQ(tracker.Shed(), 1u);
-  EXPECT_EQ(tracker.PeakQueueDepth(), 2u);
+  EXPECT_EQ(tracker.shed, 1u);
+  EXPECT_EQ(tracker.peak_queue_depth, 2u);
 }
 
 TEST(AdmissionControllerTest, DropOldestEvictsTheEarliestQueued) {

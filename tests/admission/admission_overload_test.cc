@@ -184,7 +184,7 @@ TEST(AdmissionOverloadTest, RealGateBeatsUngatedUnderStorm) {
     largest = std::max(largest, s.admitted);
   }
   EXPECT_TRUE(smaller_after_larger);
-  EXPECT_EQ(deep.admission_tracker().PeakQueueDepth(), largest);
+  EXPECT_EQ(deep.admission_tracker().peak_queue_depth, largest);
 }
 
 TEST(AdmissionOverloadTest, RealReplayAggregatesTheLoggedUploadNotThisRounds) {

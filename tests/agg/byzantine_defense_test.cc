@@ -95,7 +95,7 @@ TEST(ByzantineDefenseTest, DefensesReportTheirExclusions) {
     rejections += krum.RunRound(TechniqueKind::kNone).krum_rejections;
   }
   EXPECT_GT(rejections, 0u);
-  EXPECT_EQ(krum.aggregation_tracker().TotalKrumRejections(), rejections);
+  EXPECT_EQ(krum.aggregation_tracker().Totals().krum_rejections, rejections);
 
   config.aggregator.kind = AggregatorKind::kNormClip;
   RealFlEngine clip(config);
@@ -104,7 +104,7 @@ TEST(ByzantineDefenseTest, DefensesReportTheirExclusions) {
     clipped += clip.RunRound(TechniqueKind::kNone).updates_clipped;
   }
   EXPECT_GT(clipped, 0u);
-  EXPECT_EQ(clip.aggregation_tracker().TotalClipped(), clipped);
+  EXPECT_EQ(clip.aggregation_tracker().Totals().updates_clipped, clipped);
 }
 
 // --- Strict no-op guarantees ----------------------------------------------
@@ -272,8 +272,8 @@ TEST(ByzantineDefenseTest, RealEngineResumesBitForBitUnderAttack) {
   EXPECT_EQ(expected.test_accuracy, actual.test_accuracy);
   EXPECT_EQ(expected.byzantine_selected, actual.byzantine_selected);
   EXPECT_EQ(expected.krum_rejections, actual.krum_rejections);
-  EXPECT_EQ(full.aggregation_tracker().TotalKrumRejections(),
-            resumed.aggregation_tracker().TotalKrumRejections());
+  EXPECT_EQ(full.aggregation_tracker().Totals().krum_rejections,
+            resumed.aggregation_tracker().Totals().krum_rejections);
   std::remove(path.c_str());
 }
 

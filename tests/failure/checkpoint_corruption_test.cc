@@ -11,6 +11,7 @@
 #include <fstream>
 #include <string>
 
+#include "src/admission/update_log.h"
 #include "src/failure/checkpoint_io.h"
 #include "src/failure/checkpointer.h"
 #include "src/fl/async_engine.h"
@@ -41,6 +42,25 @@ std::string Serialized(const Engine& engine) {
   CheckpointWriter w;
   engine.SaveState(w);
   return w.buffer();
+}
+
+// An archive around `payload` whose header hash matches it, so Restore
+// hands the payload to LoadState.
+std::string WellHashedArchive(const std::string& payload, Checkpointer::EngineTag tag,
+                              uint64_t fingerprint) {
+  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, as the header stores it
+  for (const char c : payload) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  CheckpointWriter archive;
+  archive.U32(Checkpointer::kMagic);
+  archive.U32(Checkpointer::kVersion);
+  archive.U32(static_cast<uint32_t>(tag));
+  archive.U64(fingerprint);
+  archive.U64(hash);
+  archive.Str(payload);
+  return archive.buffer();
 }
 
 // Runs the corruption sweep for one saved archive against a restore target:
@@ -195,30 +215,54 @@ TEST(CheckpointCorruptionTest, WellHashedHugeCountIsRefused) {
   }
   std::string payload = Serialized(source);
   CheckpointWriter section;
-  source.aggregation_tracker().SaveState(section);
+  Io(section, source.aggregation_tracker());
   const size_t at = payload.find(section.buffer());
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(payload.find(section.buffer(), at + 1), std::string::npos);
   CheckpointWriter count;
   count.Size(size_t{1} << 40);
   payload.replace(at, sizeof(uint64_t), count.buffer());
-
-  uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a, as the header stores it
-  for (const char c : payload) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  CheckpointWriter archive;
-  archive.U32(Checkpointer::kMagic);
-  archive.U32(Checkpointer::kVersion);
-  archive.U32(static_cast<uint32_t>(Checkpointer::EngineTag::kReal));
-  archive.U64(FingerprintConfig(config));
-  archive.U64(hash);
-  archive.Str(payload);
-  WriteAll(path, archive.buffer());
+  WriteAll(path, WellHashedArchive(payload, Checkpointer::EngineTag::kReal,
+                                   FingerprintConfig(config)));
 
   RealFlEngine target(config);
   EXPECT_FALSE(Checkpointer::Restore(path, target));
+  std::remove(path.c_str());
+}
+
+// A payload that hashes correctly but whose UpdateLog holds fewer entries
+// than the population: the load dies at the log's count check instead of
+// restoring an engine whose first round reads past the log's end.
+TEST(CheckpointCorruptionDeathTest, ShortUpdateLogDiesAtItsCount) {
+  ExperimentConfig config;
+  config.num_clients = 12;
+  config.clients_per_round = 4;
+  config.rounds = 4;
+  config.seed = 76;
+  config.num_threads = 1;
+  config.faults.replay_prob = 0.5;
+  config.faults.duplicate_prob = 0.2;
+  const std::string path = TempPath("short_update_log.ckpt");
+
+  RandomSelector source_sel(config.seed);
+  const SyncEngine source(config, &source_sel, nullptr);
+  std::string payload = Serialized(source);
+  // Before round 0 every log entry is empty, and the books after the log
+  // hold only zeros, so the log is the payload's last count of 12 followed
+  // by 12 zero bytes.
+  CheckpointWriter log;
+  UpdateLog(config.num_clients).SaveState(log);
+  const size_t at = payload.rfind(log.buffer());
+  ASSERT_NE(at, std::string::npos);
+  CheckpointWriter empty_log;
+  UpdateLog().SaveState(empty_log);
+  payload.replace(at, log.buffer().size(), empty_log.buffer());
+  WriteAll(path, WellHashedArchive(payload, Checkpointer::EngineTag::kSync,
+                                   FingerprintConfig(source.config())));
+
+  RandomSelector target_sel(config.seed);
+  SyncEngine target(config, &target_sel, nullptr);
+  EXPECT_DEATH(Checkpointer::Restore(path, target), "update log population mismatch");
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "src/fl/async_engine.h"
 #include "src/fl/experiment.h"
@@ -264,6 +265,58 @@ TEST(ConfigValidationDeathTest, VflEngineRefusesOutOfRangeDuplicateProb) {
   VflConfig config;
   config.faults.duplicate_prob = 1.5;
   EXPECT_DEATH({ VflEngine engine(config); }, "duplicate_prob must be in");
+}
+
+// Every fault probability is the validator's to check, named like every
+// other fault field; the client-tier flaky chain's probabilities are
+// range-checked like their edge twins (ValidateTopologyConfig).
+TEST(ConfigValidationDeathTest, EveryFaultProbabilityIsRangeChecked) {
+  const std::pair<double FaultConfig::*, const char*> fields[] = {
+      {&FaultConfig::crash_prob, "faults.crash_prob must be in"},
+      {&FaultConfig::corrupt_prob, "faults.corrupt_prob must be in"},
+      {&FaultConfig::flaky_fraction, "faults.flaky_fraction must be in"},
+      {&FaultConfig::flaky_enter_prob, "faults.flaky_enter_prob must be in"},
+      {&FaultConfig::flaky_exit_prob, "faults.flaky_exit_prob must be in"},
+      {&FaultConfig::flaky_crash_prob, "faults.flaky_crash_prob must be in"},
+  };
+  for (const auto& [field, message] : fields) {
+    for (const double bad : {-0.1, 1.5}) {
+      ExperimentConfig config = Valid();
+      config.faults.*field = bad;
+      EXPECT_DEATH(ValidateExperimentConfig(config), message) << bad;
+    }
+  }
+}
+
+// Each engine refuses the config before it builds anything from it.
+TEST(ConfigValidationDeathTest, EveryEngineRefusesFlakyEnterProbAboveOne) {
+  ExperimentConfig config = Valid();
+  config.faults.flaky_enter_prob = 1.5;
+  EXPECT_DEATH(
+      {
+        RandomSelector selector(config.seed);
+        SyncEngine engine(config, &selector, nullptr);
+      },
+      "faults.flaky_enter_prob must be in");
+  EXPECT_DEATH({ AsyncEngine engine(config, nullptr); }, "faults.flaky_enter_prob must be in");
+  RealFlConfig real = SmallReal();
+  real.faults.flaky_enter_prob = 1.5;
+  EXPECT_DEATH({ RealFlEngine engine(real); }, "faults.flaky_enter_prob must be in");
+  VflConfig vfl;
+  vfl.faults.flaky_enter_prob = 1.5;
+  EXPECT_DEATH({ VflEngine engine(vfl); }, "faults.flaky_enter_prob must be in");
+}
+
+TEST(ConfigValidationDeathTest, VflEngineNamesItsShape) {
+  VflConfig config;
+  config.num_parties = 1;
+  EXPECT_DEATH({ VflEngine engine(config); }, "num_parties must be at least 2");
+  config = VflConfig{};
+  config.features_per_party = 0;
+  EXPECT_DEATH({ VflEngine engine(config); }, "features_per_party must be positive");
+  config = VflConfig{};
+  config.batch_size = 0;
+  EXPECT_DEATH({ VflEngine engine(config); }, "batch_size must be positive");
 }
 
 }  // namespace

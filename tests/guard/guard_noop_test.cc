@@ -141,9 +141,9 @@ TEST(GuardNoOpTest, RealEngineDisabledGuardIsByteIdentical) {
   EXPECT_EQ(sa.test_accuracy, sb.test_accuracy);
   EXPECT_FALSE(sa.rolled_back);
   EXPECT_FALSE(sb.rolled_back);
-  EXPECT_EQ(a.guard().tracker().Snapshots(), 0u);
-  EXPECT_EQ(b.guard().tracker().Snapshots(), 0u);
-  EXPECT_EQ(b.guard().tracker().MaskedActions(), 0u);
+  EXPECT_EQ(a.guard().tracker().snapshots, 0u);
+  EXPECT_EQ(b.guard().tracker().snapshots, 0u);
+  EXPECT_EQ(b.guard().tracker().masked_actions, 0u);
 
   CheckpointWriter wa;
   a.SaveState(wa);

@@ -170,8 +170,8 @@ TEST(GuardRecoveryTest, RealEngineRecoversFromScaledReplacementAttack) {
     }
   }
   EXPECT_GE(rollback_rounds, 1u);
-  EXPECT_GE(on.guard().tracker().Rollbacks(), 1u);
-  EXPECT_GE(on.guard().tracker().MaskedActions(), 1u);  // safe mode quarantine
+  EXPECT_GE(on.guard().tracker().rollbacks, 1u);
+  EXPECT_GE(on.guard().tracker().masked_actions, 1u);  // safe mode quarantine
   for (float p : on.global_model().GetParameters()) {
     EXPECT_TRUE(std::isfinite(p));
   }
@@ -253,14 +253,14 @@ TEST(GuardRecoveryTest, RealRecoveryIsThreadCountInvariant) {
     for (size_t r = 0; r < 12; ++r) {
       engine.RunRound(TechniqueKind::kQuant8);
     }
-    EXPECT_GE(engine.guard().tracker().Rollbacks(), 1u) << "num_threads=" << threads;
+    EXPECT_GE(engine.guard().tracker().rollbacks, 1u) << "num_threads=" << threads;
     if (reference.empty()) {
       reference = engine.global_model().GetParameters();
-      reference_rollbacks = engine.guard().tracker().Rollbacks();
+      reference_rollbacks = engine.guard().tracker().rollbacks;
     } else {
       EXPECT_EQ(engine.global_model().GetParameters(), reference)
           << "diverged at num_threads=" << threads;
-      EXPECT_EQ(engine.guard().tracker().Rollbacks(), reference_rollbacks);
+      EXPECT_EQ(engine.guard().tracker().rollbacks, reference_rollbacks);
     }
   }
 }

@@ -99,8 +99,8 @@ TEST(GuardResumeTest, SyncEngineGoldenResumeMidRecovery) {
   // The split lands mid-recovery: safe mode is armed and the guard has
   // already rolled back, so the checkpoint carries in-flight guard state.
   EXPECT_TRUE(half.guard().InSafeMode(split));
-  EXPECT_GE(half.guard().tracker().Rollbacks(), 1u);
-  EXPECT_GE(half.guard().tracker().QuarantineOpenings(), 1u);
+  EXPECT_GE(half.guard().tracker().rollbacks, 1u);
+  EXPECT_GE(half.guard().tracker().quarantine_openings, 1u);
   ASSERT_TRUE(Checkpointer::Save(path, half));
 
   RandomSelector resumed_sel(config.seed);
@@ -131,7 +131,7 @@ TEST(GuardResumeTest, AsyncEngineGoldenResumeMidRecovery) {
   StaticPolicy half_pol(TechniqueKind::kQuant8);
   AsyncEngine half(config, &half_pol);
   half.RunUntil(split);
-  EXPECT_GE(half.guard().tracker().Rollbacks(), 1u);
+  EXPECT_GE(half.guard().tracker().rollbacks, 1u);
   ASSERT_TRUE(Checkpointer::Save(path, half));
 
   StaticPolicy resumed_pol(TechniqueKind::kQuant8);
@@ -169,14 +169,14 @@ TEST(GuardResumeTest, RealEngineGoldenResumeMidRecovery) {
   for (size_t r = 0; r < total_rounds; ++r) {
     expected = full.RunRound(TechniqueKind::kQuant8);
   }
-  EXPECT_GE(full.guard().tracker().Rollbacks(), 1u);
+  EXPECT_GE(full.guard().tracker().rollbacks, 1u);
 
   RealFlEngine half(config);
   for (size_t r = 0; r < split; ++r) {
     half.RunRound(TechniqueKind::kQuant8);
   }
   // The attack landed at round 4: the split checkpoint is mid-recovery.
-  EXPECT_GE(half.guard().tracker().Rollbacks(), 1u);
+  EXPECT_GE(half.guard().tracker().rollbacks, 1u);
   EXPECT_TRUE(half.guard().InSafeMode(split));
   ASSERT_TRUE(Checkpointer::Save(path, half));
 
@@ -190,8 +190,8 @@ TEST(GuardResumeTest, RealEngineGoldenResumeMidRecovery) {
   EXPECT_EQ(full.global_model().GetParameters(), resumed.global_model().GetParameters());
   EXPECT_EQ(expected.test_accuracy, actual.test_accuracy);
   EXPECT_EQ(expected.rolled_back, actual.rolled_back);
-  EXPECT_EQ(full.guard().tracker().Rollbacks(), resumed.guard().tracker().Rollbacks());
-  EXPECT_EQ(full.guard().tracker().MaskedActions(), resumed.guard().tracker().MaskedActions());
+  EXPECT_EQ(full.guard().tracker().rollbacks, resumed.guard().tracker().rollbacks);
+  EXPECT_EQ(full.guard().tracker().masked_actions, resumed.guard().tracker().masked_actions);
   CheckpointWriter full_state;
   full.SaveState(full_state);
   CheckpointWriter resumed_state;
@@ -227,14 +227,14 @@ TEST(GuardResumeTest, VflEngineGoldenResumeMidRecovery) {
   for (size_t e = 0; e < total_epochs; ++e) {
     expected = full.TrainEpoch(TechniqueKind::kQuant8);
   }
-  EXPECT_GE(full.guard().tracker().StallTriggers(), 1u);
-  EXPECT_GE(full.guard().tracker().Rollbacks(), 1u);
+  EXPECT_GE(full.guard().tracker().stall_triggers, 1u);
+  EXPECT_GE(full.guard().tracker().rollbacks, 1u);
 
   VflEngine half(config);
   for (size_t e = 0; e < split; ++e) {
     half.TrainEpoch(TechniqueKind::kQuant8);
   }
-  EXPECT_GE(half.guard().tracker().Rollbacks(), 1u);
+  EXPECT_GE(half.guard().tracker().rollbacks, 1u);
   ASSERT_TRUE(Checkpointer::Save(path, half));
 
   VflEngine resumed(config);

@@ -284,17 +284,17 @@ TEST(TrainingGuardTest, SnapshotsOnlyOnImprovementAndRollsBackOnCollapse) {
   EXPECT_FALSE(guard.EndRound(0, {0.5, 0.0}, state.Save(), state.Restore()));
   state.value = 2;
   EXPECT_FALSE(guard.EndRound(1, {0.6, 0.0}, state.Save(), state.Restore()));
-  EXPECT_EQ(guard.tracker().Snapshots(), 2u);
+  EXPECT_EQ(guard.tracker().snapshots, 2u);
   // Healthy but below best: individually fine, never snapshotted.
   state.value = 3;
   EXPECT_FALSE(guard.EndRound(2, {0.55, 0.0}, state.Save(), state.Restore()));
-  EXPECT_EQ(guard.tracker().Snapshots(), 2u);
+  EXPECT_EQ(guard.tracker().snapshots, 2u);
   // Collapse: restore the newest (best) snapshot, arm safe mode.
   state.value = 99;
   EXPECT_TRUE(guard.EndRound(3, {0.2, 0.0}, state.Save(), state.Restore()));
   EXPECT_EQ(state.value, 2);
-  EXPECT_EQ(guard.tracker().Rollbacks(), 1u);
-  EXPECT_EQ(guard.tracker().CollapseTriggers(), 1u);
+  EXPECT_EQ(guard.tracker().rollbacks, 1u);
+  EXPECT_EQ(guard.tracker().collapse_triggers, 1u);
   EXPECT_TRUE(guard.InSafeMode(4));
   EXPECT_TRUE(guard.InSafeMode(5));
   EXPECT_FALSE(guard.InSafeMode(6));  // 3 + 1 + safe_mode_rounds(2)
@@ -308,7 +308,7 @@ TEST(TrainingGuardTest, ConsecutiveTriggersEscalateToOlderSnapshots) {
     guard.EndRound(static_cast<size_t>(i - 1), {0.5 + 0.1 * i, 0.0}, state.Save(),
                    state.Restore());
   }
-  ASSERT_EQ(guard.tracker().Snapshots(), 3u);
+  ASSERT_EQ(guard.tracker().snapshots, 3u);
   state.value = 99;
   EXPECT_TRUE(guard.EndRound(3, {0.1, 0.0}, state.Save(), state.Restore()));
   EXPECT_EQ(state.value, 3);  // newest first
@@ -329,8 +329,8 @@ TEST(TrainingGuardTest, NonFiniteHealthWithEmptyRingStillArmsSafeMode) {
   state.value = 7;
   EXPECT_FALSE(guard.EndRound(0, {kNaN, 0.0}, state.Save(), state.Restore()));
   EXPECT_EQ(state.value, 7);  // nothing to restore
-  EXPECT_EQ(guard.tracker().NonFiniteTriggers(), 1u);
-  EXPECT_EQ(guard.tracker().Rollbacks(), 0u);
+  EXPECT_EQ(guard.tracker().nonfinite_triggers, 1u);
+  EXPECT_EQ(guard.tracker().rollbacks, 0u);
   EXPECT_TRUE(guard.InSafeMode(1));
 }
 
@@ -343,7 +343,7 @@ TEST(TrainingGuardTest, SafeModeMasksDecisionsButNeverKNone) {
   ASSERT_TRUE(guard.InSafeMode(2));
   EXPECT_EQ(guard.Filter(TechniqueKind::kQuant8, 2), TechniqueKind::kNone);
   EXPECT_EQ(guard.Filter(TechniqueKind::kNone, 2), TechniqueKind::kNone);
-  EXPECT_EQ(guard.tracker().MaskedActions(), 1u);  // kNone pass-through not counted
+  EXPECT_EQ(guard.tracker().masked_actions, 1u);  // kNone pass-through not counted
   // Outside the window decisions pass through.
   EXPECT_EQ(guard.Filter(TechniqueKind::kQuant8, 10), TechniqueKind::kQuant8);
 }
@@ -353,7 +353,7 @@ TEST(TrainingGuardTest, SanitizeRewardZeroesNonFiniteCreditsWhenEnabled) {
   EXPECT_DOUBLE_EQ(guard.SanitizeReward(0.25), 0.25);
   EXPECT_DOUBLE_EQ(guard.SanitizeReward(kNaN), 0.0);
   EXPECT_DOUBLE_EQ(guard.SanitizeReward(kInf), 0.0);
-  EXPECT_EQ(guard.tracker().RejectedRewards(), 2u);
+  EXPECT_EQ(guard.tracker().rejected_rewards, 2u);
 }
 
 TEST(TrainingGuardTest, DisabledGuardIsAStrictPassThrough) {
@@ -367,9 +367,9 @@ TEST(TrainingGuardTest, DisabledGuardIsAStrictPassThrough) {
   EXPECT_FALSE(guard.EndRound(0, {kNaN, kNaN}, state.Save(), state.Restore()));
   EXPECT_EQ(state.value, 11);
   EXPECT_FALSE(guard.InSafeMode(1));
-  EXPECT_EQ(guard.tracker().Snapshots(), 0u);
+  EXPECT_EQ(guard.tracker().snapshots, 0u);
   EXPECT_EQ(guard.tracker().WatchdogTriggers(), 0u);
-  EXPECT_EQ(guard.tracker().RejectedRewards(), 0u);
+  EXPECT_EQ(guard.tracker().rejected_rewards, 0u);
 }
 
 TEST(TrainingGuardTest, FullStateRoundTripsThroughCheckpoint) {
@@ -393,7 +393,7 @@ TEST(TrainingGuardTest, FullStateRoundTripsThroughCheckpoint) {
   loaded.LoadState(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(loaded.InSafeMode(2), guard.InSafeMode(2));
-  EXPECT_EQ(loaded.tracker().Rollbacks(), guard.tracker().Rollbacks());
+  EXPECT_EQ(loaded.tracker().rollbacks, guard.tracker().rollbacks);
   CheckpointWriter again;
   loaded.SaveState(again);
   EXPECT_EQ(again.buffer(), w.buffer());
@@ -403,31 +403,31 @@ TEST(TrainingGuardTest, FullStateRoundTripsThroughCheckpoint) {
 
 TEST(GuardTrackerTest, CountsAndRoundTrips) {
   GuardTracker tracker;
-  tracker.RecordSnapshot();
-  tracker.RecordNonFiniteTrigger();
-  tracker.RecordCollapseTrigger();
-  tracker.RecordCollapseTrigger();
-  tracker.RecordStallTrigger();
-  tracker.RecordRollback();
-  tracker.RecordMaskedAction();
-  tracker.RecordQuarantineOpened();
-  tracker.RecordRejectedReward();
-  tracker.RecordSafeModeRound();
+  ++tracker.snapshots;
+  ++tracker.nonfinite_triggers;
+  ++tracker.collapse_triggers;
+  ++tracker.collapse_triggers;
+  ++tracker.stall_triggers;
+  ++tracker.rollbacks;
+  ++tracker.masked_actions;
+  ++tracker.quarantine_openings;
+  ++tracker.rejected_rewards;
+  ++tracker.safe_mode_rounds;
   EXPECT_EQ(tracker.WatchdogTriggers(), 4u);
-  EXPECT_EQ(tracker.CollapseTriggers(), 2u);
+  EXPECT_EQ(tracker.collapse_triggers, 2u);
 
   CheckpointWriter w;
-  tracker.SaveState(w);
+  Io(w, tracker);
   GuardTracker loaded;
   CheckpointReader r(w.buffer());
-  loaded.LoadState(r);
-  EXPECT_EQ(loaded.Snapshots(), 1u);
+  Io(r, loaded);
+  EXPECT_EQ(loaded.snapshots, 1u);
   EXPECT_EQ(loaded.WatchdogTriggers(), 4u);
-  EXPECT_EQ(loaded.Rollbacks(), 1u);
-  EXPECT_EQ(loaded.MaskedActions(), 1u);
-  EXPECT_EQ(loaded.QuarantineOpenings(), 1u);
-  EXPECT_EQ(loaded.RejectedRewards(), 1u);
-  EXPECT_EQ(loaded.SafeModeRounds(), 1u);
+  EXPECT_EQ(loaded.rollbacks, 1u);
+  EXPECT_EQ(loaded.masked_actions, 1u);
+  EXPECT_EQ(loaded.quarantine_openings, 1u);
+  EXPECT_EQ(loaded.rejected_rewards, 1u);
+  EXPECT_EQ(loaded.safe_mode_rounds, 1u);
 }
 
 // --- GuardConfig validation ------------------------------------------------

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/fl/experiment.h"
 #include "src/metrics/participation_tracker.h"
 #include "src/metrics/resource_accountant.h"
 #include "src/sim/thread_pool.h"
@@ -31,7 +32,7 @@ TEST(ParticipationTrackerConcurrencyTest, ConcurrentRecordsAllLand) {
         const size_t client = (t * kRecordsPerThread + i) % kClients;
         const TechniqueKind technique =
             (i % 2 == 0) ? TechniqueKind::kNone : TechniqueKind::kQuant8;
-        tracker.Record(client, technique, /*completed=*/i % 4 != 0);
+        tracker.Record(client, technique, /*completed=*/i % 4 != 0, DropoutReason::kNone);
       }
     });
   }
@@ -53,7 +54,7 @@ TEST(ParticipationTrackerConcurrencyTest, ConcurrentRecordsAllLand) {
   EXPECT_EQ(technique_total, total);
   // Every client got an equal share of the round-robin.
   for (size_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(tracker.SelectedCount(c), total / kClients);
+    EXPECT_EQ(tracker.selected()[c], total / kClients);
   }
 }
 
@@ -80,7 +81,7 @@ TEST(ResourceAccountantConcurrencyTest, ConcurrentRecordsSumExactly) {
   EXPECT_EQ(accountant.Wasted().compute_hours, half);
   EXPECT_EQ(accountant.Useful().comm_hours, 2.0 * half);
   EXPECT_EQ(accountant.Wasted().comm_hours, 2.0 * half);
-  EXPECT_EQ(accountant.Total().compute_hours, 2.0 * half);
+  EXPECT_EQ(accountant.Useful().compute_hours + accountant.Wasted().compute_hours, 2.0 * half);
 }
 
 // The engines' actual discipline: parallel compute, ordered merge. Totals

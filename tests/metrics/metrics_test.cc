@@ -8,6 +8,18 @@
 namespace floatfl {
 namespace {
 
+// Dropouts on file under (technique, reason); 0 when none are.
+size_t DropoutCount(const ParticipationTracker& tracker, TechniqueKind technique,
+                    DropoutReason reason) {
+  const auto& by_technique = tracker.DropoutsByTechnique();
+  const auto it = by_technique.find(technique);
+  if (it == by_technique.end()) {
+    return 0;
+  }
+  const auto jt = it->second.find(static_cast<uint32_t>(reason));
+  return jt == it->second.end() ? 0 : jt->second;
+}
+
 TEST(ResourceAccountantTest, SplitsUsefulAndWasted) {
   ResourceAccountant accountant;
   accountant.Record(3600.0, 1800.0, 1024.0, /*completed=*/true);
@@ -24,7 +36,7 @@ TEST(ResourceAccountantTest, TotalIsSum) {
   ResourceAccountant accountant;
   accountant.Record(3600.0, 0.0, 0.0, true);
   accountant.Record(3600.0, 0.0, 0.0, false);
-  EXPECT_DOUBLE_EQ(accountant.Total().compute_hours, 2.0);
+  EXPECT_DOUBLE_EQ(accountant.Useful().compute_hours + accountant.Wasted().compute_hours, 2.0);
 }
 
 TEST(ResourceTotalsTest, PlusEquals) {
@@ -38,12 +50,12 @@ TEST(ResourceTotalsTest, PlusEquals) {
 
 TEST(ParticipationTrackerTest, CountsSelectionsAndCompletions) {
   ParticipationTracker tracker(5);
-  tracker.Record(0, TechniqueKind::kNone, true);
-  tracker.Record(0, TechniqueKind::kNone, false);
-  tracker.Record(3, TechniqueKind::kPrune75, true);
-  EXPECT_EQ(tracker.SelectedCount(0), 2u);
-  EXPECT_EQ(tracker.CompletedCount(0), 1u);
-  EXPECT_EQ(tracker.SelectedCount(3), 1u);
+  tracker.Record(0, TechniqueKind::kNone, true, DropoutReason::kNone);
+  tracker.Record(0, TechniqueKind::kNone, false, DropoutReason::kNone);
+  tracker.Record(3, TechniqueKind::kPrune75, true, DropoutReason::kNone);
+  EXPECT_EQ(tracker.selected()[0], 2u);
+  EXPECT_EQ(tracker.completed()[0], 1u);
+  EXPECT_EQ(tracker.selected()[3], 1u);
   EXPECT_EQ(tracker.TotalSelected(), 3u);
   EXPECT_EQ(tracker.TotalCompleted(), 2u);
   EXPECT_EQ(tracker.TotalDropouts(), 1u);
@@ -51,18 +63,18 @@ TEST(ParticipationTrackerTest, CountsSelectionsAndCompletions) {
 
 TEST(ParticipationTrackerTest, NeverCounts) {
   ParticipationTracker tracker(4);
-  tracker.Record(1, TechniqueKind::kNone, true);
-  tracker.Record(2, TechniqueKind::kNone, false);
+  tracker.Record(1, TechniqueKind::kNone, true, DropoutReason::kNone);
+  tracker.Record(2, TechniqueKind::kNone, false, DropoutReason::kNone);
   EXPECT_EQ(tracker.NeverSelected(), 2u);   // 0 and 3
   EXPECT_EQ(tracker.NeverCompleted(), 3u);  // 0, 2, 3
 }
 
 TEST(ParticipationTrackerTest, PerTechniqueStats) {
   ParticipationTracker tracker(2);
-  tracker.Record(0, TechniqueKind::kQuant8, true);
-  tracker.Record(0, TechniqueKind::kQuant8, true);
-  tracker.Record(1, TechniqueKind::kQuant8, false);
-  tracker.Record(1, TechniqueKind::kPrune50, true);
+  tracker.Record(0, TechniqueKind::kQuant8, true, DropoutReason::kNone);
+  tracker.Record(0, TechniqueKind::kQuant8, true, DropoutReason::kNone);
+  tracker.Record(1, TechniqueKind::kQuant8, false, DropoutReason::kNone);
+  tracker.Record(1, TechniqueKind::kPrune50, true, DropoutReason::kNone);
   const auto& per = tracker.PerTechnique();
   EXPECT_EQ(per.at(TechniqueKind::kQuant8).success, 2u);
   EXPECT_EQ(per.at(TechniqueKind::kQuant8).failure, 1u);
@@ -78,13 +90,13 @@ TEST(ParticipationTrackerTest, AttributesDropoutsByTechniqueAndReason) {
   tracker.Record(2, TechniqueKind::kQuant8, false, DropoutReason::kTransferTimedOut);
   tracker.Record(3, TechniqueKind::kQuant8, true, DropoutReason::kNone);
   tracker.Record(4, TechniqueKind::kPrune50, false, DropoutReason::kCorrupted);
-  // The 3-arg overload records no attribution (reason unknown).
-  tracker.Record(5, TechniqueKind::kPrune50, false);
+  // kNone records no attribution (reason unknown).
+  tracker.Record(5, TechniqueKind::kPrune50, false, DropoutReason::kNone);
 
-  EXPECT_EQ(tracker.DropoutCount(TechniqueKind::kQuant8, DropoutReason::kCrashed), 2u);
-  EXPECT_EQ(tracker.DropoutCount(TechniqueKind::kQuant8, DropoutReason::kTransferTimedOut), 1u);
-  EXPECT_EQ(tracker.DropoutCount(TechniqueKind::kPrune50, DropoutReason::kCorrupted), 1u);
-  EXPECT_EQ(tracker.DropoutCount(TechniqueKind::kPrune50, DropoutReason::kCrashed), 0u);
+  EXPECT_EQ(DropoutCount(tracker, TechniqueKind::kQuant8, DropoutReason::kCrashed), 2u);
+  EXPECT_EQ(DropoutCount(tracker, TechniqueKind::kQuant8, DropoutReason::kTransferTimedOut), 1u);
+  EXPECT_EQ(DropoutCount(tracker, TechniqueKind::kPrune50, DropoutReason::kCorrupted), 1u);
+  EXPECT_EQ(DropoutCount(tracker, TechniqueKind::kPrune50, DropoutReason::kCrashed), 0u);
   // Completions never attribute, so kQuant8 has exactly two reasons on file.
   const auto& by_technique = tracker.DropoutsByTechnique();
   ASSERT_EQ(by_technique.count(TechniqueKind::kQuant8), 1u);
@@ -104,7 +116,7 @@ TEST(ParticipationTrackerTest, AttributionRoundTripsThroughCheckpoint) {
   loaded.LoadState(r);
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(loaded.DropoutsByTechnique(), tracker.DropoutsByTechnique());
-  EXPECT_EQ(loaded.DropoutCount(TechniqueKind::kQuant8, DropoutReason::kOutOfMemory), 1u);
+  EXPECT_EQ(DropoutCount(loaded, TechniqueKind::kQuant8, DropoutReason::kOutOfMemory), 1u);
   EXPECT_EQ(loaded.TotalCompleted(), 1u);
   CheckpointWriter again;
   loaded.SaveState(again);
@@ -119,9 +131,9 @@ TEST(AggregationTrackerTest, HugeHistoryCountFailsTheReader) {
   w.Size(1);
   CheckpointReader r(w.buffer());
   AggregationTracker tracker;
-  tracker.LoadState(r);
+  Io(r, tracker);
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(tracker.rounds(), 0u);
+  EXPECT_EQ(tracker.history.size(), 0u);
 }
 
 }  // namespace

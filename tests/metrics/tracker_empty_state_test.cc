@@ -1,6 +1,6 @@
 // Empty-state save/restore for the bookkeeping trackers (DESIGN.md §10,
 // §14), mirroring tests/net/empty_state_test.cc: a tracker with nothing
-// recorded must round-trip through SaveState/LoadState bit-exactly, and
+// recorded must round-trip through its `Io` walk bit-exactly, and
 // loading an empty snapshot over a dirty tracker must fully reset it — the
 // degenerate "checkpoint taken before anything happened" case every
 // freshly-constructed engine hits.
@@ -26,95 +26,95 @@ namespace {
 TEST(TrackerEmptyStateTest, TopologyTrackerZeroEventsRoundTrips) {
   const TopologyTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   TopologyTracker restored;
-  restored.RecordEdgeCrash();  // dirty, then overwritten
-  restored.RecordReparented(4);
+  ++restored.edge_crashes;  // dirty, then overwritten
+  restored.reparented_clients += 4;
   restored.RecordPartial(true, 2, 1.5, 0.5);
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.EdgeCrashes(), 0u);
-  EXPECT_EQ(restored.EdgeBlackouts(), 0u);
-  EXPECT_EQ(restored.ReparentedClients(), 0u);
-  EXPECT_EQ(restored.OrphanedClients(), 0u);
-  EXPECT_EQ(restored.PartialsForwarded(), 0u);
-  EXPECT_EQ(restored.PartialsLost(), 0u);
-  EXPECT_EQ(restored.TamperedPartials(), 0u);
-  EXPECT_EQ(restored.TamperedRejections(), 0u);
-  EXPECT_EQ(restored.LatePartials(), 0u);
-  EXPECT_EQ(restored.EdgeAggExclusions(), 0u);
-  EXPECT_EQ(restored.EdgeTransferAttempts(), 0u);
-  EXPECT_EQ(restored.Tier1WireMb(), 0.0);
-  EXPECT_EQ(restored.Tier1RetransmittedMb(), 0.0);
+  EXPECT_EQ(restored.edge_crashes, 0u);
+  EXPECT_EQ(restored.edge_blackouts, 0u);
+  EXPECT_EQ(restored.reparented_clients, 0u);
+  EXPECT_EQ(restored.orphaned_clients, 0u);
+  EXPECT_EQ(restored.partials_forwarded, 0u);
+  EXPECT_EQ(restored.partials_lost, 0u);
+  EXPECT_EQ(restored.tampered_partials, 0u);
+  EXPECT_EQ(restored.tampered_rejections, 0u);
+  EXPECT_EQ(restored.late_partials, 0u);
+  EXPECT_EQ(restored.edge_agg_exclusions, 0u);
+  EXPECT_EQ(restored.edge_transfer_attempts, 0u);
+  EXPECT_EQ(restored.tier1_wire_mb, 0.0);
+  EXPECT_EQ(restored.tier1_retransmitted_mb, 0.0);
 
   // Re-serialization is byte-identical: nothing drifted through the trip.
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
 TEST(TrackerEmptyStateTest, GuardTrackerZeroEventsRoundTrips) {
   const GuardTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   GuardTracker restored;
-  restored.RecordSnapshot();  // dirty, then overwritten
-  restored.RecordRollback();
-  restored.RecordSafeModeRound();
+  ++restored.snapshots;  // dirty, then overwritten
+  ++restored.rollbacks;
+  ++restored.safe_mode_rounds;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.Snapshots(), 0u);
-  EXPECT_EQ(restored.NonFiniteTriggers(), 0u);
-  EXPECT_EQ(restored.CollapseTriggers(), 0u);
-  EXPECT_EQ(restored.StallTriggers(), 0u);
+  EXPECT_EQ(restored.snapshots, 0u);
+  EXPECT_EQ(restored.nonfinite_triggers, 0u);
+  EXPECT_EQ(restored.collapse_triggers, 0u);
+  EXPECT_EQ(restored.stall_triggers, 0u);
   EXPECT_EQ(restored.WatchdogTriggers(), 0u);
-  EXPECT_EQ(restored.Rollbacks(), 0u);
-  EXPECT_EQ(restored.MaskedActions(), 0u);
-  EXPECT_EQ(restored.QuarantineOpenings(), 0u);
-  EXPECT_EQ(restored.RejectedRewards(), 0u);
-  EXPECT_EQ(restored.SafeModeRounds(), 0u);
+  EXPECT_EQ(restored.rollbacks, 0u);
+  EXPECT_EQ(restored.masked_actions, 0u);
+  EXPECT_EQ(restored.quarantine_openings, 0u);
+  EXPECT_EQ(restored.rejected_rewards, 0u);
+  EXPECT_EQ(restored.safe_mode_rounds, 0u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
 TEST(TrackerEmptyStateTest, RecoveryTrackerZeroEventsRoundTrips) {
   const RecoveryTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   RecoveryTracker restored;
-  restored.RecordRestart();  // dirty, then overwritten
-  restored.RecordArchivesSkipped(2);
-  restored.RecordRoundsReplayed(5);
-  restored.RecordCheckpointWritten();
-  restored.RecordCheckpointFailed();
-  restored.RecordCheckpointsCollected(3);
-  restored.RecordTempsSwept(1);
+  ++restored.restarts;  // dirty, then overwritten
+  restored.archives_skipped += 2;
+  restored.rounds_replayed += 5;
+  ++restored.checkpoints_written;
+  ++restored.checkpoints_failed;
+  restored.checkpoints_collected += 3;
+  ++restored.temps_swept;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.Restarts(), 0u);
-  EXPECT_EQ(restored.ArchivesSkipped(), 0u);
-  EXPECT_EQ(restored.RoundsReplayed(), 0u);
-  EXPECT_EQ(restored.CheckpointsWritten(), 0u);
-  EXPECT_EQ(restored.CheckpointsFailed(), 0u);
-  EXPECT_EQ(restored.CheckpointsCollected(), 0u);
-  EXPECT_EQ(restored.TempsSwept(), 0u);
+  EXPECT_EQ(restored.restarts, 0u);
+  EXPECT_EQ(restored.archives_skipped, 0u);
+  EXPECT_EQ(restored.rounds_replayed, 0u);
+  EXPECT_EQ(restored.checkpoints_written, 0u);
+  EXPECT_EQ(restored.checkpoints_failed, 0u);
+  EXPECT_EQ(restored.checkpoints_collected, 0u);
+  EXPECT_EQ(restored.temps_swept, 0u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
@@ -123,128 +123,128 @@ TEST(TrackerEmptyStateTest, RecoveryTrackerAccumulatedStateRoundTrips) {
   // lives survives the trip exactly (it rides inside engine checkpoints, so
   // this is what makes the counters cumulative across kills).
   RecoveryTracker source;
-  source.RecordRestart();
-  source.RecordRestart();
-  source.RecordArchivesSkipped(1);
-  source.RecordRoundsReplayed(7);
-  source.RecordCheckpointWritten();
-  source.RecordCheckpointsCollected(2);
-  source.RecordTempsSwept(3);
+  ++source.restarts;
+  ++source.restarts;
+  ++source.archives_skipped;
+  source.rounds_replayed += 7;
+  ++source.checkpoints_written;
+  source.checkpoints_collected += 2;
+  source.temps_swept += 3;
   CheckpointWriter w;
-  source.SaveState(w);
+  Io(w, source);
 
   RecoveryTracker restored;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
-  EXPECT_EQ(restored.Restarts(), 2u);
-  EXPECT_EQ(restored.ArchivesSkipped(), 1u);
-  EXPECT_EQ(restored.RoundsReplayed(), 7u);
-  EXPECT_EQ(restored.CheckpointsWritten(), 1u);
-  EXPECT_EQ(restored.CheckpointsFailed(), 0u);
-  EXPECT_EQ(restored.CheckpointsCollected(), 2u);
-  EXPECT_EQ(restored.TempsSwept(), 3u);
+  EXPECT_EQ(restored.restarts, 2u);
+  EXPECT_EQ(restored.archives_skipped, 1u);
+  EXPECT_EQ(restored.rounds_replayed, 7u);
+  EXPECT_EQ(restored.checkpoints_written, 1u);
+  EXPECT_EQ(restored.checkpoints_failed, 0u);
+  EXPECT_EQ(restored.checkpoints_collected, 2u);
+  EXPECT_EQ(restored.temps_swept, 3u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
 TEST(TrackerEmptyStateTest, AdmissionTrackerZeroEventsRoundTrips) {
   const AdmissionTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   AdmissionTracker restored;
-  restored.RecordAdmitted(3);  // dirty, then overwritten
-  restored.RecordDeduplicated();
-  restored.RecordShed();
-  restored.RecordRateLimited();
-  restored.RecordReplayRejected();
+  restored.admitted += 3;  // dirty, then overwritten
+  ++restored.deduplicated;
+  ++restored.shed;
+  ++restored.rate_limited;
+  ++restored.replay_rejected;
   restored.RecordQueueDepth(7);
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.Admitted(), 0u);
-  EXPECT_EQ(restored.Deduplicated(), 0u);
-  EXPECT_EQ(restored.Shed(), 0u);
-  EXPECT_EQ(restored.RateLimited(), 0u);
-  EXPECT_EQ(restored.ReplayRejected(), 0u);
-  EXPECT_EQ(restored.PeakQueueDepth(), 0u);
+  EXPECT_EQ(restored.admitted, 0u);
+  EXPECT_EQ(restored.deduplicated, 0u);
+  EXPECT_EQ(restored.shed, 0u);
+  EXPECT_EQ(restored.rate_limited, 0u);
+  EXPECT_EQ(restored.replay_rejected, 0u);
+  EXPECT_EQ(restored.peak_queue_depth, 0u);
   EXPECT_EQ(restored.TotalRejected(), 0u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
 TEST(TrackerEmptyStateTest, AdmissionTrackerAccumulatedStateRoundTrips) {
   AdmissionTracker source;
-  source.RecordAdmitted(12);
-  source.RecordDeduplicated();
-  source.RecordDeduplicated();
-  source.RecordShed();
-  source.RecordRateLimited();
-  source.RecordRateLimited();
-  source.RecordRateLimited();
-  source.RecordReplayRejected();
+  source.admitted += 12;
+  ++source.deduplicated;
+  ++source.deduplicated;
+  ++source.shed;
+  ++source.rate_limited;
+  ++source.rate_limited;
+  ++source.rate_limited;
+  ++source.replay_rejected;
   source.RecordQueueDepth(9);
   source.RecordQueueDepth(4);  // peak sticks at the maximum seen
   CheckpointWriter w;
-  source.SaveState(w);
+  Io(w, source);
 
   AdmissionTracker restored;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
-  EXPECT_EQ(restored.Admitted(), 12u);
-  EXPECT_EQ(restored.Deduplicated(), 2u);
-  EXPECT_EQ(restored.Shed(), 1u);
-  EXPECT_EQ(restored.RateLimited(), 3u);
-  EXPECT_EQ(restored.ReplayRejected(), 1u);
-  EXPECT_EQ(restored.PeakQueueDepth(), 9u);
+  EXPECT_EQ(restored.admitted, 12u);
+  EXPECT_EQ(restored.deduplicated, 2u);
+  EXPECT_EQ(restored.shed, 1u);
+  EXPECT_EQ(restored.rate_limited, 3u);
+  EXPECT_EQ(restored.replay_rejected, 1u);
+  EXPECT_EQ(restored.peak_queue_depth, 9u);
   EXPECT_EQ(restored.TotalRejected(), 7u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
 TEST(TrackerEmptyStateTest, SalvageTrackerZeroEventsRoundTrips) {
   const SalvageTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   SalvageTracker restored;
   restored.RecordPartialSalvaged(12, 0.5, 1.25);  // dirty, then overwritten
-  restored.RecordPartialBelowMin();
-  restored.RecordPartialRejected();
-  restored.RecordBackupsPlanned(3);
-  restored.RecordBackupWin();
-  restored.RecordBackupRedundant();
-  restored.RecordDeadlineMissAverted();
+  ++restored.partials_below_min;
+  ++restored.partials_rejected;
+  restored.backups_planned += 3;
+  ++restored.backups_won;
+  ++restored.backups_redundant;
+  ++restored.deadline_misses_averted;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.PartialsSalvaged(), 0u);
-  EXPECT_EQ(restored.PartialsBelowMin(), 0u);
-  EXPECT_EQ(restored.PartialsRejected(), 0u);
-  EXPECT_EQ(restored.SalvagedSteps(), 0u);
-  EXPECT_EQ(restored.SalvagedFractionSum(), 0.0);
-  EXPECT_EQ(restored.SalvagedProgressMb(), 0.0);
-  EXPECT_EQ(restored.BackupsPlanned(), 0u);
-  EXPECT_EQ(restored.BackupsWon(), 0u);
-  EXPECT_EQ(restored.BackupsRedundant(), 0u);
-  EXPECT_EQ(restored.DeadlineMissesAverted(), 0u);
+  EXPECT_EQ(restored.partials_salvaged, 0u);
+  EXPECT_EQ(restored.partials_below_min, 0u);
+  EXPECT_EQ(restored.partials_rejected, 0u);
+  EXPECT_EQ(restored.salvaged_steps, 0u);
+  EXPECT_EQ(restored.salvaged_fraction_sum, 0.0);
+  EXPECT_EQ(restored.salvaged_progress_mb, 0.0);
+  EXPECT_EQ(restored.backups_planned, 0u);
+  EXPECT_EQ(restored.backups_won, 0u);
+  EXPECT_EQ(restored.backups_redundant, 0u);
+  EXPECT_EQ(restored.deadline_misses_averted, 0u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 
@@ -252,35 +252,35 @@ TEST(TrackerEmptyStateTest, SalvageTrackerAccumulatedStateRoundTrips) {
   SalvageTracker source;
   source.RecordPartialSalvaged(9, 0.75, 0.0);
   source.RecordPartialSalvaged(4, 0.3125, 2.5);
-  source.RecordPartialBelowMin();
-  source.RecordPartialRejected();
-  source.RecordPartialRejected();
-  source.RecordBackupsPlanned(5);
-  source.RecordBackupWin();
-  source.RecordBackupWin();
-  source.RecordBackupRedundant();
-  source.RecordDeadlineMissAverted();
+  ++source.partials_below_min;
+  ++source.partials_rejected;
+  ++source.partials_rejected;
+  source.backups_planned += 5;
+  ++source.backups_won;
+  ++source.backups_won;
+  ++source.backups_redundant;
+  ++source.deadline_misses_averted;
   CheckpointWriter w;
-  source.SaveState(w);
+  Io(w, source);
 
   SalvageTracker restored;
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
-  EXPECT_EQ(restored.PartialsSalvaged(), 2u);
-  EXPECT_EQ(restored.PartialsBelowMin(), 1u);
-  EXPECT_EQ(restored.PartialsRejected(), 2u);
-  EXPECT_EQ(restored.SalvagedSteps(), 13u);
-  EXPECT_EQ(restored.SalvagedFractionSum(), 0.75 + 0.3125);
-  EXPECT_EQ(restored.SalvagedProgressMb(), 2.5);
-  EXPECT_EQ(restored.BackupsPlanned(), 5u);
-  EXPECT_EQ(restored.BackupsWon(), 2u);
-  EXPECT_EQ(restored.BackupsRedundant(), 1u);
-  EXPECT_EQ(restored.DeadlineMissesAverted(), 1u);
+  EXPECT_EQ(restored.partials_salvaged, 2u);
+  EXPECT_EQ(restored.partials_below_min, 1u);
+  EXPECT_EQ(restored.partials_rejected, 2u);
+  EXPECT_EQ(restored.salvaged_steps, 13u);
+  EXPECT_EQ(restored.salvaged_fraction_sum, 0.75 + 0.3125);
+  EXPECT_EQ(restored.salvaged_progress_mb, 2.5);
+  EXPECT_EQ(restored.backups_planned, 5u);
+  EXPECT_EQ(restored.backups_won, 2u);
+  EXPECT_EQ(restored.backups_redundant, 1u);
+  EXPECT_EQ(restored.deadline_misses_averted, 1u);
 
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 

@@ -1,6 +1,6 @@
 // Empty-state save/restore (DESIGN.md §10): a TransportTracker with zero
 // recorded transfers and an AdaptiveDeadlineController with zero observed
-// rounds must round-trip through SaveState/LoadState bit-exactly — the
+// rounds must round-trip through the checkpoint walk bit-exactly — the
 // degenerate "checkpoint taken before anything happened" case every
 // freshly-constructed engine hits.
 #include <gtest/gtest.h>
@@ -15,26 +15,26 @@ namespace {
 TEST(EmptyStateTest, TransportTrackerZeroTransfersRoundTrips) {
   const TransportTracker fresh;
   CheckpointWriter w;
-  fresh.SaveState(w);
+  Io(w, fresh);
 
   TransportTracker restored;
   restored.Record(3, 12.0, 4.0, 1.0, 0.5, 2.5, true);  // dirty, then overwritten
   CheckpointReader r(w.buffer());
-  restored.LoadState(r);
+  Io(r, restored);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.AtEnd());
 
-  EXPECT_EQ(restored.TotalTransfers(), 0u);
-  EXPECT_EQ(restored.TotalAttempts(), 0u);
-  EXPECT_EQ(restored.TotalTimeouts(), 0u);
-  EXPECT_EQ(restored.TotalWireMb(), 0.0);
-  EXPECT_EQ(restored.TotalRetransmittedMb(), 0.0);
-  EXPECT_EQ(restored.TotalSalvagedMb(), 0.0);
-  EXPECT_EQ(restored.TotalBackoffS(), 0.0);
+  EXPECT_EQ(restored.transfers, 0u);
+  EXPECT_EQ(restored.attempts, 0u);
+  EXPECT_EQ(restored.timeouts, 0u);
+  EXPECT_EQ(restored.wire_mb, 0.0);
+  EXPECT_EQ(restored.retransmitted_mb, 0.0);
+  EXPECT_EQ(restored.salvaged_mb, 0.0);
+  EXPECT_EQ(restored.backoff_s, 0.0);
 
   // Re-serialization is byte-identical: nothing drifted through the trip.
   CheckpointWriter w2;
-  restored.SaveState(w2);
+  Io(w2, restored);
   EXPECT_EQ(w.buffer(), w2.buffer());
 }
 

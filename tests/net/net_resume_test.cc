@@ -181,7 +181,7 @@ TEST(NetResumeTest, RealEngineLossyGoldenResume) {
   EXPECT_EQ(expected.transfer_timeouts, actual.transfer_timeouts);
   EXPECT_EQ(expected.retransmitted_mb, actual.retransmitted_mb);
   EXPECT_EQ(expected.salvaged_mb, actual.salvaged_mb);
-  EXPECT_EQ(full.transport_tracker().TotalAttempts(), resumed.transport_tracker().TotalAttempts());
+  EXPECT_EQ(full.transport_tracker().attempts, resumed.transport_tracker().attempts);
   std::remove(path.c_str());
 }
 

@@ -77,7 +77,7 @@ void RunCrashSweep() {
     EXPECT_EQ(TrainingState(harness.get()), golden);
     // The surviving life restored from the ring, and the cumulative tracker
     // (serialized inside the engine) remembers it.
-    EXPECT_EQ(harness.get().recovery_tracker().Restarts(), 1u);
+    EXPECT_EQ(harness.get().recovery_tracker().restarts, 1u);
     WipeRingDir(recovery.dir);
   }
 }
@@ -138,7 +138,7 @@ TEST(CrashSweepTest, StochasticKillsStillConvergeToGolden) {
   // One kill per dead life; restarts can lag kills (a life killed before the
   // first archive existed leaves nothing to restore).
   EXPECT_EQ(plan.KillsFired(), lives);
-  EXPECT_LE(harness.get().recovery_tracker().Restarts(), lives);
+  EXPECT_LE(harness.get().recovery_tracker().restarts, lives);
   WipeRingDir(recovery.dir);
 }
 

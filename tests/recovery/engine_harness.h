@@ -72,7 +72,7 @@ std::string TrainingState(const Engine& engine) {
   CheckpointWriter full;
   engine.SaveState(full);
   CheckpointWriter tail;
-  engine.recovery_tracker().SaveState(tail);
+  Io(tail, engine.recovery_tracker());
   return full.buffer().substr(0, full.buffer().size() - tail.buffer().size());
 }
 

@@ -100,7 +100,7 @@ TEST(RunSupervisorTest, DisabledSupervisorIsByteIdenticalOnSyncEngine) {
   EXPECT_EQ(supervisor.RecoverAndRun(config.rounds), SupervisedOutcome::kCompleted);
   EXPECT_EQ(SerializedState(plain), SerializedState(supervised));
   EXPECT_EQ(supervisor.report().checkpoints_written, 0u);
-  EXPECT_EQ(supervised.recovery_tracker().CheckpointsWritten(), 0u);
+  EXPECT_EQ(supervised.recovery_tracker().checkpoints_written, 0u);
 }
 
 TEST(RunSupervisorTest, DisabledSupervisorIsByteIdenticalOnAsyncEngine) {
@@ -192,7 +192,7 @@ TEST(RunSupervisorTest, CadenceAndFinalRoundArchivesWithRetention) {
   EXPECT_EQ(supervisor.ring().Rounds(), (std::vector<size_t>{9, 10}));
   EXPECT_EQ(supervisor.report().checkpoints_written, 4u);
   EXPECT_EQ(supervisor.report().checkpoints_collected, 2u);
-  EXPECT_EQ(engine.recovery_tracker().CheckpointsWritten(), 4u);
+  EXPECT_EQ(engine.recovery_tracker().checkpoints_written, 4u);
   WipeRing(supervisor.ring());
 }
 
@@ -279,7 +279,7 @@ TEST(RunSupervisorTest, CorruptNewestArchiveFallsBackToOlderOne) {
   // Rounds 5 and 6 were provably reached (the round-6 stamp) but their work
   // was lost with the corrupt archive: two rounds to replay.
   EXPECT_EQ(supervisor.report().rounds_replayed, 2u);
-  EXPECT_EQ(engine.recovery_tracker().ArchivesSkipped(), 1u);
+  EXPECT_EQ(engine.recovery_tracker().archives_skipped, 1u);
   WipeRing(supervisor.ring());
 }
 

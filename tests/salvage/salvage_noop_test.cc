@@ -151,8 +151,8 @@ TEST(SalvageNoOpTest, RealEngineDisabledSalvageIsByteIdentical) {
     EXPECT_EQ(s->partials_rejected, 0u);
     EXPECT_EQ(s->salvaged_steps, 0u);
   }
-  EXPECT_EQ(a.salvage_tracker().PartialsSalvaged(), 0u);
-  EXPECT_EQ(b.salvage_tracker().PartialsSalvaged(), 0u);
+  EXPECT_EQ(a.salvage_tracker().partials_salvaged, 0u);
+  EXPECT_EQ(b.salvage_tracker().partials_salvaged, 0u);
 
   CheckpointWriter wa;
   a.SaveState(wa);

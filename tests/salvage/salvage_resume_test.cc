@@ -81,7 +81,7 @@ TEST(SalvageResumeTest, SyncFiftyPlusFiftyIsBitExact) {
     half.RunRound(round);
   }
   // Premise: the checkpoint itself carries live salvage state.
-  EXPECT_GT(half.salvage_tracker().PartialsSalvaged(), 0u);
+  EXPECT_GT(half.salvage_tracker().partials_salvaged, 0u);
   EXPECT_GT(half.speculative_scheduler().BackupsPlanned(), 0u);
   ASSERT_TRUE(Checkpointer::Save(path, half));
 
@@ -173,9 +173,9 @@ TEST(SalvageResumeTest, RealHalfPlusHalfIsBitExact) {
   }
 
   EXPECT_EQ(full.global_model().GetParameters(), resumed.global_model().GetParameters());
-  EXPECT_EQ(full.salvage_tracker().PartialsSalvaged(),
-            resumed.salvage_tracker().PartialsSalvaged());
-  EXPECT_EQ(full.salvage_tracker().SalvagedSteps(), resumed.salvage_tracker().SalvagedSteps());
+  EXPECT_EQ(full.salvage_tracker().partials_salvaged,
+            resumed.salvage_tracker().partials_salvaged);
+  EXPECT_EQ(full.salvage_tracker().salvaged_steps, resumed.salvage_tracker().salvaged_steps);
   CheckpointWriter full_state;
   full.SaveState(full_state);
   CheckpointWriter resumed_state;

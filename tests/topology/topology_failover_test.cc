@@ -119,11 +119,11 @@ TEST(TopologyFailoverTest, RealFailoverBeatsOrphaningUnderEdgeCrashes) {
   }
 
   // Same edge weather on both arms; failover turns orphans into fosters.
-  EXPECT_EQ(on.topology_tracker().EdgeCrashes(), off.topology_tracker().EdgeCrashes());
-  EXPECT_GT(on.topology_tracker().EdgeCrashes(), 0u);
-  EXPECT_GT(on.topology_tracker().ReparentedClients(), 0u);
-  EXPECT_EQ(on.topology_tracker().OrphanedClients(), 0u);
-  EXPECT_GT(off.topology_tracker().OrphanedClients(), 0u);
+  EXPECT_EQ(on.topology_tracker().edge_crashes, off.topology_tracker().edge_crashes);
+  EXPECT_GT(on.topology_tracker().edge_crashes, 0u);
+  EXPECT_GT(on.topology_tracker().reparented_clients, 0u);
+  EXPECT_EQ(on.topology_tracker().orphaned_clients, 0u);
+  EXPECT_GT(off.topology_tracker().orphaned_clients, 0u);
 
   EXPECT_GT(updates_on, updates_off);
   // The synthetic task saturates accuracy quickly, so the strict quality

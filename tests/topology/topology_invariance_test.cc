@@ -106,10 +106,10 @@ TEST(TopologyInvarianceTest, RealEngineIsThreadCountInvariantWithTreeActive) {
     if (threads == 1) {
       reference_params = engine.global_model().GetParameters();
       reference_state = w.buffer();
-      EXPECT_GT(engine.topology_tracker().EdgeCrashes() +
-                    engine.topology_tracker().EdgeBlackouts(),
+      EXPECT_GT(engine.topology_tracker().edge_crashes +
+                    engine.topology_tracker().edge_blackouts,
                 0u);
-      EXPECT_GT(engine.topology_tracker().ReparentedClients(), 0u);
+      EXPECT_GT(engine.topology_tracker().reparented_clients, 0u);
       continue;
     }
     EXPECT_EQ(engine.global_model().GetParameters(), reference_params)

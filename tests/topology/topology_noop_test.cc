@@ -165,8 +165,8 @@ TEST(TopologyNoOpTest, RealEngineStarTopologyIsByteIdentical) {
     EXPECT_EQ(s->tampered_partials, 0u);
     EXPECT_EQ(s->tampered_rejections, 0u);
   }
-  EXPECT_EQ(a.topology_tracker().PartialsForwarded(), 0u);
-  EXPECT_EQ(b.topology_tracker().PartialsForwarded(), 0u);
+  EXPECT_EQ(a.topology_tracker().partials_forwarded, 0u);
+  EXPECT_EQ(b.topology_tracker().partials_forwarded, 0u);
 
   CheckpointWriter wa;
   a.SaveState(wa);

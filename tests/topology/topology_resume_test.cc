@@ -138,9 +138,9 @@ TEST(TopologyResumeTest, RealEngineGoldenResumeWithTreeActive) {
   EXPECT_EQ(expected.orphaned, actual.orphaned);
   EXPECT_EQ(expected.reparented, actual.reparented);
   EXPECT_EQ(expected.tampered_partials, actual.tampered_partials);
-  EXPECT_EQ(full.topology_tracker().EdgeCrashes(), resumed.topology_tracker().EdgeCrashes());
-  EXPECT_EQ(full.topology_tracker().ReparentedClients(),
-            resumed.topology_tracker().ReparentedClients());
+  EXPECT_EQ(full.topology_tracker().edge_crashes, resumed.topology_tracker().edge_crashes);
+  EXPECT_EQ(full.topology_tracker().reparented_clients,
+            resumed.topology_tracker().reparented_clients);
   std::remove(path.c_str());
 }
 
