@@ -10,6 +10,7 @@
 #include "src/data/dirichlet.h"
 #include "src/fl/cost_model.h"
 #include "src/fl/experiment.h"
+#include "src/nn/kernels.h"
 #include "src/opt/compress.h"
 #include "src/opt/prune.h"
 #include "src/opt/quantize.h"
@@ -113,16 +114,10 @@ const RealFlConfig& Validated(const RealFlConfig& config) {
 }
 
 // Server-side validation: every value finite and the update's L2 norm under
-// the quarantine threshold.
+// the quarantine threshold, summed at the CPU's vector width with the
+// sequential loop's verdict.
 bool ValidRealUpdate(const std::vector<float>& params, double norm_threshold) {
-  double sq = 0.0;
-  for (float p : params) {
-    if (!std::isfinite(p)) {
-      return false;
-    }
-    sq += static_cast<double>(p) * static_cast<double>(p);
-  }
-  return std::sqrt(sq) <= norm_threshold;
+  return FiniteWithNormAtMost(params.data(), params.size(), norm_threshold);
 }
 
 // The model's layer widths: input, hidden..., classes.

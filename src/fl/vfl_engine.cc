@@ -63,6 +63,9 @@ void SplitModelIo(Archive& a, Bottoms& bottoms, Top& top) {
 const VflConfig& Validated(const VflConfig& config) {
   FLOATFL_CHECK_MSG(config.num_parties >= 2, "num_parties must be at least 2");
   FLOATFL_CHECK_MSG(config.features_per_party > 0, "features_per_party must be positive");
+  // A zero-width split trains at chance; one class scores 1.0 at loss 0.
+  FLOATFL_CHECK_MSG(config.embedding_dim > 0, "embedding_dim must be positive");
+  FLOATFL_CHECK_MSG(config.num_classes >= 2, "num_classes must be at least 2");
   // TrainEpoch steps through the data batch_size rows at a time.
   FLOATFL_CHECK_MSG(config.batch_size > 0, "batch_size must be positive");
   ValidateFaultConfig(config.faults);

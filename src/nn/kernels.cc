@@ -1,6 +1,9 @@
 #include "src/nn/kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace floatfl {
@@ -17,10 +20,19 @@ namespace {
 // latency at every width and fit the 16 registers of baseline x86-64.
 constexpr size_t kBlockVectors = 8;
 
+// Bytes of b per k tile of MatMul, two thirds of a 48 KB L1d: every output
+// row adds its products from one tile before the next tile is read, so each
+// tile comes from L2 once per call rather than once per row.
+constexpr size_t kTileBytes = 32 * 1024;
+
 template <size_t kBytes>
 struct Lanes {
   typedef float V __attribute__((vector_size(kBytes)));
   static constexpr size_t kCount = kBytes / sizeof(float);
+  // kBytes of doubles, and the floats that widen into them.
+  typedef double D __attribute__((vector_size(kBytes)));
+  typedef float Half __attribute__((vector_size(kBytes / 2)));
+  static constexpr size_t kDoubles = kBytes / sizeof(double);
 };
 
 // acc[v] += vals[t] * (row idx[t] of b, columns j + v*W .. j + v*W + W - 1),
@@ -109,18 +121,35 @@ FLOATFL_KERNEL_BODY void AccumulateOutputRow(const float* vals, const uint32_t* 
   }
 }
 
+// k runs in tiles of kTileBytes of b. The first tile's outputs start from
+// +0.0f and later tiles' from the partial sums the previous tile stored, so
+// each output still adds the same products in k order.
 template <size_t kBytes>
 FLOATFL_KERNEL_BODY void MatMulBody(const float* a, const float* b, float* out, size_t rows,
                                     size_t depth, size_t cols) {
   constexpr size_t kW = Lanes<kBytes>::kCount;
   const std::vector<float> padded = PadTailColumns(b, depth, cols, cols % kW, kW);
-  std::vector<float> vals(depth);
-  std::vector<uint32_t> idx(depth);
-  for (size_t i = 0; i < rows; ++i) {
-    const size_t n = ListNonZeros(a, i * depth, 1, depth, vals.data(), idx.data());
-    AccumulateOutputRow<kBytes, kBlockVectors, false>(vals.data(), idx.data(), n, b, cols,
-                                                      padded.data(), out + i * cols);
-  }
+  const size_t row_bytes = std::max<size_t>(1, cols) * sizeof(float);
+  const size_t tile = std::max<size_t>(1, kTileBytes / row_bytes);
+  std::vector<float> vals(std::min(tile, depth));
+  std::vector<uint32_t> idx(std::min(tile, depth));
+  size_t k0 = 0;
+  do {
+    const size_t count = std::min(tile, depth - k0);
+    const float* tile_b = b + k0 * cols;
+    const float* tile_padded = padded.empty() ? nullptr : padded.data() + k0 * kW;
+    for (size_t i = 0; i < rows; ++i) {
+      const size_t n = ListNonZeros(a, i * depth + k0, 1, count, vals.data(), idx.data());
+      if (k0 == 0) {
+        AccumulateOutputRow<kBytes, kBlockVectors, false>(vals.data(), idx.data(), n, tile_b,
+                                                          cols, tile_padded, out + i * cols);
+      } else {
+        AccumulateOutputRow<kBytes, kBlockVectors, true>(vals.data(), idx.data(), n, tile_b,
+                                                         cols, tile_padded, out + i * cols);
+      }
+    }
+    k0 += count;
+  } while (k0 < depth);
 }
 
 template <size_t kBytes>
@@ -191,6 +220,37 @@ FLOATFL_KERNEL_BODY void MatMulTransposedBody(const float* a, const float* b, fl
   }
 }
 
+// Each of kSumVectors vectors of kBytes / 8 doubles sums the squares of its
+// lanes' floats in order; then the lanes, in order, and the tail.
+constexpr size_t kSumVectors = 4;
+
+template <size_t kBytes>
+FLOATFL_KERNEL_BODY double SumSquaresBody(const float* x, size_t n) {
+  using D = typename Lanes<kBytes>::D;
+  constexpr size_t kW = Lanes<kBytes>::kDoubles;
+  D acc[kSumVectors] = {};
+  size_t i = 0;
+  for (; i + kSumVectors * kW <= n; i += kSumVectors * kW) {
+#pragma GCC unroll 16
+    for (size_t v = 0; v < kSumVectors; ++v) {
+      typename Lanes<kBytes>::Half f;
+      __builtin_memcpy(&f, x + i + v * kW, sizeof(f));
+      const D d = __builtin_convertvector(f, D);
+      acc[v] = acc[v] + d * d;
+    }
+  }
+  double sum = 0.0;
+  for (size_t v = 0; v < kSumVectors; ++v) {
+    for (size_t l = 0; l < kW; ++l) {
+      sum += acc[v][l];
+    }
+  }
+  for (; i < n; ++i) {
+    sum += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+  }
+  return sum;
+}
+
 // One set of kernels per level, for vectors of kBytes.
 #define FLOATFL_DEFINE_KERNELS(Suffix, kName, Attr, kBytes)                                    \
   Attr void MatMul##Suffix(const float* a, const float* b, float* out, size_t rows,            \
@@ -205,9 +265,11 @@ FLOATFL_KERNEL_BODY void MatMulTransposedBody(const float* a, const float* b, fl
                                      size_t depth, size_t outputs) {                            \
     MatMulTransposedBody<kBytes>(a, b, out, rows, depth, outputs);                             \
   }                                                                                             \
-  const MatMulKernels k##Suffix##Kernels = {kName, &MatMul##Suffix,                            \
-                                            &AddTransposedMatMul##Suffix,                       \
-                                            &MatMulTransposed##Suffix};
+  Attr double SumSquares##Suffix(const float* x, size_t n) {                                    \
+    return SumSquaresBody<kBytes>(x, n);                                                        \
+  }                                                                                             \
+  const Kernels k##Suffix##Kernels = {kName, &MatMul##Suffix, &AddTransposedMatMul##Suffix,    \
+                                      &MatMulTransposed##Suffix, &SumSquares##Suffix};
 
 FLOATFL_DEFINE_KERNELS(Baseline, "baseline", , 16)
 #if defined(__x86_64__)
@@ -217,7 +279,7 @@ FLOATFL_DEFINE_KERNELS(V4, "x86-64-v4", __attribute__((target("arch=x86-64-v4"))
 
 }  // namespace
 
-const MatMulKernels* KernelsFor(KernelLevel level) {
+const Kernels* KernelsFor(KernelLevel level) {
   switch (level) {
     case KernelLevel::kBaseline:
       return &kBaselineKernels;
@@ -236,16 +298,45 @@ const MatMulKernels* KernelsFor(KernelLevel level) {
   }
 }
 
-const MatMulKernels& ActiveKernels() {
-  static const MatMulKernels* const active = [] {
+const Kernels& ActiveKernels() {
+  static const Kernels* const active = [] {
     for (KernelLevel level : {KernelLevel::kX86_64_V4, KernelLevel::kX86_64_V3}) {
-      if (const MatMulKernels* kernels = KernelsFor(level)) {
+      if (const Kernels* kernels = KernelsFor(level)) {
         return kernels;
       }
     }
     return KernelsFor(KernelLevel::kBaseline);
   }();
   return *active;
+}
+
+bool FiniteWithNormAtMost(const float* x, size_t n, double threshold, const Kernels& kernels) {
+  // A float's square is exact in double, and fewer than 2^230 of them cannot
+  // overflow a double sum, so the sum is non-finite exactly when some x[i]
+  // is: the sequential loop's early false.
+  const double sum = kernels.sum_squares(x, n);
+  if (!std::isfinite(sum)) {
+    return false;
+  }
+  // Any order of adding n non-negative terms lands within (n - 1) * 2^-53 of
+  // the exact sum, to first order. The margin covers both orders' error, the
+  // rounding of threshold^2, of the products below and of the sqrt (DESIGN.md
+  // §12). A subnormal or NaN threshold^2 skips straight to the loop.
+  const double bound = threshold * threshold;
+  if (threshold > 0.0 && bound >= std::numeric_limits<double>::min()) {
+    const double margin = (8.0 * static_cast<double>(n) + 8.0) * 0x1p-53;
+    if (sum * (1.0 + margin) < bound) {
+      return true;
+    }
+    if (sum * (1.0 - margin) > bound) {
+      return false;
+    }
+  }
+  double sequential = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sequential += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+  }
+  return std::sqrt(sequential) <= threshold;
 }
 
 }  // namespace floatfl

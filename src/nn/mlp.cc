@@ -9,14 +9,6 @@
 #include "src/sim/thread_pool.h"
 
 namespace floatfl {
-namespace {
-
-// Rows per Evaluate task: enough to amortise a task, few enough to spread a
-// few hundred test rows over a handful of threads. Rows are scored
-// independently, so the block size never changes a result.
-constexpr size_t kEvalBlockRows = 64;
-
-}  // namespace
 
 Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   FLOATFL_CHECK(dims.size() >= 2);
@@ -80,9 +72,13 @@ Mlp::Evaluation Mlp::Evaluate(const Tensor& input, const std::vector<int>& label
   const size_t dim = input.cols();
   std::vector<uint8_t> correct(rows);
   std::vector<double> row_loss(rows);
-  ParallelFor(pool, (rows + kEvalBlockRows - 1) / kEvalBlockRows, [&](size_t block) {
-    const size_t begin = block * kEvalBlockRows;
-    const size_t count = std::min(kEvalBlockRows, rows - begin);
+  // One block of rows per participating thread. Rows are scored
+  // independently, so the split never changes a result.
+  const size_t threads = pool == nullptr ? 1 : pool->num_workers() + 1;
+  const size_t block_rows = std::max<size_t>(1, (rows + threads - 1) / threads);
+  ParallelFor(pool, (rows + block_rows - 1) / block_rows, [&](size_t block) {
+    const size_t begin = block * block_rows;
+    const size_t count = std::min(block_rows, rows - begin);
     Tensor x(count, dim);
     std::copy_n(input.data() + begin * dim, count * dim, x.data());
     const Tensor logits = Infer(x);

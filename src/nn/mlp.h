@@ -45,10 +45,10 @@ class Mlp {
     double loss = 0.0;
   };
   // Accuracy and mean loss from one inference pass, bit-identical to
-  // SoftmaxXent::Accuracy and SoftmaxXent::Loss on Forward(input). Fixed
-  // blocks of rows fan out over `pool` (null: inline), and the correct count
-  // and the loss sum are reduced in row order, so the result does not depend
-  // on the pool.
+  // SoftmaxXent::Accuracy and SoftmaxXent::Loss on Forward(input). One block
+  // of rows per thread fans out over `pool` (null: inline), and the correct
+  // count and the loss sum are reduced in row order, so the result does not
+  // depend on the pool.
   Evaluation Evaluate(const Tensor& input, const std::vector<int>& labels,
                       ThreadPool* pool = nullptr) const;
 

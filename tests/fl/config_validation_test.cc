@@ -319,5 +319,19 @@ TEST(ConfigValidationDeathTest, VflEngineNamesItsShape) {
   EXPECT_DEATH({ VflEngine engine(config); }, "batch_size must be positive");
 }
 
+// A zero-width split model trains at chance accuracy.
+TEST(ConfigValidationDeathTest, VflEngineRefusesZeroEmbeddingDim) {
+  VflConfig config;
+  config.embedding_dim = 0;
+  EXPECT_DEATH({ VflEngine engine(config); }, "embedding_dim must be positive");
+}
+
+// With one class every prediction is right at loss 0.
+TEST(ConfigValidationDeathTest, VflEngineRefusesASingleClass) {
+  VflConfig config;
+  config.num_classes = 1;
+  EXPECT_DEATH({ VflEngine engine(config); }, "num_classes must be at least 2");
+}
+
 }  // namespace
 }  // namespace floatfl

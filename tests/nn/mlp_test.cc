@@ -207,14 +207,15 @@ TEST(MlpTest, TrainBatchStopsAtLowestTrainedLayerBitForBit) {
   }
 }
 
-// The fused pass against SoftmaxXent on Forward, inline and on a pool, for
-// row counts on both sides of the block size. Zero input rows give tied
+// The fused pass against SoftmaxXent on Forward, inline and on a pool of
+// four threads, for row counts below, at and above the thread count and on
+// both sides of the 64-row blocks it used to cut. Zero input rows give tied
 // logits, where the first maximum must win.
 TEST(MlpTest, EvaluateMatchesAccuracyAndLossOnForwardBitForBit) {
   Rng rng(53);
   Mlp net({9, 17, 6}, rng);
   ThreadPool pool(3);
-  for (size_t rows : {1, 63, 64, 65, 200}) {
+  for (size_t rows : {1, 3, 4, 5, 63, 64, 65, 200}) {
     Tensor x = NormalTensor(rows, 9, rng);
     for (size_t j = 0; j < 9; ++j) {
       x.At(rows / 2, j) = 0.0f;

@@ -283,14 +283,24 @@ class KernelVariantTest : public ::testing::TestWithParam<KernelLevel> {
     bool half_zero;  // the left operand as after a ReLU
   };
 
-  const MatMulKernels* kernels_ = nullptr;
+  const Kernels* kernels_ = nullptr;
 };
+
+// The rows of b in one of MatMul's k tiles: 32 KB of them (kTileBytes in
+// src/nn/kernels.cc).
+size_t TileDepth(size_t cols) { return std::max<size_t>(1, 32 * 1024 / (cols * sizeof(float))); }
 
 TEST_P(KernelVariantTest, MatMulMatchesAxpyOracleBitForBit) {
   EXPECT_STREQ(kernels_->name, LevelName(GetParam()));
+  // The engine's shapes, then depths one short of a k tile, one tile, one
+  // past it, and three tiles plus a remainder, at 1 and 64 rows (a tile is
+  // 32 rows of b at 256 columns, 63 at 130).
   const Shape shapes[] = {{20, 64, 256, false}, {20, 256, 128, true}, {20, 128, 10, true},
                           {64, 64, 256, false}, {64, 256, 128, true}, {64, 128, 10, true},
-                          {1, 1, 1, false},     {33, 257, 65, true},  {20, 64, 130, false}};
+                          {1, 1, 1, false},     {33, 257, 65, true},  {20, 64, 130, false},
+                          {1, 31, 256, false},  {1, 32, 256, true},   {1, 33, 256, false},
+                          {64, 31, 256, true},  {64, 32, 256, false}, {64, 33, 256, true},
+                          {1, 101, 256, true},  {64, 101, 256, false}, {64, 196, 130, true}};
   Rng rng(47);
   size_t finite = 0;
   size_t nonfinite = 0;
@@ -298,6 +308,12 @@ TEST_P(KernelVariantTest, MatMulMatchesAxpyOracleBitForBit) {
     Tensor a = SpecialValueTensor(shape.rows, shape.depth, rng);
     if (shape.half_zero) {
       ZeroHalf(a, rng);
+    }
+    // Row 0's inputs are all zero inside the second k tile, so its outputs
+    // must come through that tile unchanged.
+    const size_t tile = TileDepth(shape.cols);
+    for (size_t k = tile; k < std::min(2 * tile, shape.depth); ++k) {
+      a.At(0, k) = k % 2 == 0 ? 0.0f : -0.0f;
     }
     const Tensor b = SpecialValueTensor(shape.depth, shape.cols, rng);
     Tensor got(shape.rows, shape.cols, 1.0f);
@@ -378,6 +394,106 @@ TEST_P(KernelVariantTest, MatMulTransposedMatchesDotProductOracleBitForBit) {
   EXPECT_GT(nonfinite, 1000u);
 }
 
+// The update check the real engine ran before the lane sum: every value
+// finite, and the L2 norm, summed in double in index order, at most the
+// threshold.
+bool SequentialNormVerdict(const std::vector<float>& x, double threshold) {
+  double sq = 0.0;
+  for (float p : x) {
+    if (!std::isfinite(p)) {
+      return false;
+    }
+    sq += static_cast<double>(p) * static_cast<double>(p);
+  }
+  return std::sqrt(sq) <= threshold;
+}
+
+// That loop's norm of an all-finite vector.
+double SequentialNorm(const std::vector<float>& x) {
+  double sq = 0.0;
+  for (float p : x) {
+    sq += static_cast<double>(p) * static_cast<double>(p);
+  }
+  return std::sqrt(sq);
+}
+
+// FiniteWithNormAtMost against the sequential loop, at thresholds one ulp
+// below, at and one ulp above each update's norm, where the lane sum alone
+// gets the verdict wrong, and on non-finite values, infinite and degenerate
+// thresholds, and empty and one-element updates.
+TEST_P(KernelVariantTest, NormVerdictMatchesTheSequentialLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(61);
+  size_t checked = 0;
+  size_t lane_sum_wrong = 0;
+  const auto check = [&](const std::vector<float>& x, double threshold) {
+    EXPECT_EQ(FiniteWithNormAtMost(x.data(), x.size(), threshold, *kernels_),
+              SequentialNormVerdict(x, threshold))
+        << x.size() << " values, threshold " << threshold;
+    ++checked;
+  };
+  // Random updates at three magnitudes; a power-of-two scale keeps every
+  // square exact.
+  for (size_t n : {2, 7, 33, 1000, 50826}) {
+    for (float scale : {0x1p-60f, 1.0f, 0x1p60f}) {
+      for (int rep = 0; rep < 8; ++rep) {
+        std::vector<float> x(n);
+        for (float& p : x) {
+          p = static_cast<float>(rng.Normal()) * scale;
+        }
+        const double norm = SequentialNorm(x);
+        const double lane_norm = std::sqrt(kernels_->sum_squares(x.data(), n));
+        for (double threshold :
+             {std::nextafter(norm, 0.0), norm, std::nextafter(norm, inf), norm * 0.5, norm * 2.0,
+              1e4, inf}) {
+          check(x, threshold);
+          lane_sum_wrong += (lane_norm <= threshold) != (norm <= threshold);
+        }
+      }
+    }
+  }
+  // A NaN or an infinity at the first, a middle and the last index.
+  const float nonfinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  for (size_t n : {1, 1000, 50826}) {
+    for (float bad : nonfinite) {
+      for (size_t at : {size_t{0}, n / 2, n - 1}) {
+        std::vector<float> x(n);
+        for (float& p : x) {
+          p = static_cast<float>(rng.Normal());
+        }
+        x[at] = bad;
+        check(x, 1e4);
+        check(x, inf);
+      }
+    }
+  }
+  // Empty and one-element updates, and thresholds of zero, below zero and
+  // NaN.
+  const std::vector<double> thresholds = {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                          1e-300, 1.0, inf};
+  for (double threshold : thresholds) {
+    check({}, threshold);
+  }
+  const float singles[] = {0.0f, -0.0f, std::numeric_limits<float>::denorm_min(), 1.0f, -3.5f,
+                           std::numeric_limits<float>::max()};
+  for (float value : singles) {
+    const std::vector<float> x = {value};
+    const double norm = std::fabs(static_cast<double>(value));
+    for (double threshold : thresholds) {
+      check(x, threshold);
+    }
+    for (double threshold : {std::nextafter(norm, 0.0), norm, std::nextafter(norm, inf)}) {
+      check(x, threshold);
+    }
+  }
+  EXPECT_GT(checked, 900u);
+  // The near-threshold cases reach the sequential fallback: the lane sum's
+  // own verdict differs from the loop's on some of them.
+  EXPECT_GT(lane_sum_wrong, 10u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, KernelVariantTest,
                          ::testing::Values(KernelLevel::kBaseline, KernelLevel::kX86_64_V3,
                                            KernelLevel::kX86_64_V4),
@@ -389,9 +505,9 @@ INSTANTIATE_TEST_SUITE_P(Levels, KernelVariantTest,
 
 // Tensor's products run the widest variant the CPU supports.
 TEST(TensorTest, DispatchPicksTheWidestSupportedKernels) {
-  const MatMulKernels* widest = KernelsFor(KernelLevel::kBaseline);
+  const Kernels* widest = KernelsFor(KernelLevel::kBaseline);
   for (KernelLevel level : {KernelLevel::kX86_64_V3, KernelLevel::kX86_64_V4}) {
-    if (const MatMulKernels* kernels = KernelsFor(level)) {
+    if (const Kernels* kernels = KernelsFor(level)) {
       widest = kernels;
     }
   }
