@@ -220,8 +220,9 @@ FLOATFL_KERNEL_BODY void MatMulTransposedBody(const float* a, const float* b, fl
   }
 }
 
-// Each of kSumVectors vectors of kBytes / 8 doubles sums the squares of its
-// lanes' floats in order; then the lanes, in order, and the tail.
+// Each lane of kSumVectors vectors of kBytes / 8 doubles sums the squares of
+// every (kSumVectors x lanes)-th float in order; then the lanes, in order,
+// and the tail.
 constexpr size_t kSumVectors = 4;
 
 template <size_t kBytes>

@@ -35,11 +35,11 @@ struct Kernels {
   // Each output adds a[i][k] * b[j][k] in k order to +0.0f, zeros included.
   void (*mat_mul_transposed)(const float* a, const float* b, float* out, size_t rows,
                              size_t depth, size_t outputs);
-  // The sum of x[i]^2 over i < n in double, in the level's vector lanes: each
-  // lane sums every lane-count-th square in order, and the lanes and the
-  // tail are added last. Every square is exact, so the sum differs from the
-  // sequential one only by rounding, and is non-finite exactly when some
-  // x[i] is.
+  // The sum of x[i]^2 over i < n in double, in four vectors of the level's
+  // double lanes: each lane sums every (4 x lanes)-th square in order, and
+  // the lanes and the tail are added last. Every square is exact, so the sum
+  // differs from the sequential one only by rounding, and is non-finite
+  // exactly when some x[i] is.
   double (*sum_squares)(const float* x, size_t n);
 };
 
